@@ -127,48 +127,22 @@ pub const BLOCKSIZE_CANDIDATES: [u32; 6] = [32, 64, 128, 256, 512, 1024];
 /// Sweep launch geometries on one GPU; minimise time, break ties towards
 /// higher occupancy.
 ///
-/// The analytic model is pure, so every candidate is estimated
-/// concurrently; the winner is then chosen by scanning the results in
-/// candidate order, which makes the tie-breaking identical to a sequential
-/// sweep.
+/// Candidates are estimated inline, in candidate order: each estimate is a
+/// pure analytic call or a cache hit, cheaper than starting a thread for
+/// it.
 pub fn blocksize_dse(
     model: &GpuModel,
     work: &KernelWork,
     pinned: bool,
     cache: &EvalCache,
 ) -> Result<BlocksizeDse, FlowError> {
-    // Sweep workers run on fresh threads; hand them the ambient span so
-    // their estimate (and fault) events stay attributed to this DSE node.
-    let ambient = psa_obs::span::current();
-    let estimates: Vec<_> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = BLOCKSIZE_CANDIDATES
-            .iter()
-            .map(|&b| {
-                s.spawn(move |_| {
-                    let _span = psa_obs::span::propagate(ambient);
-                    model.estimate_cached(work, b, pinned, cache)
-                })
-            })
-            .collect();
-        // Join every handle eagerly (a short-circuiting collect would drop
-        // unjoined handles, making the scope panic with a generic payload),
-        // then surface the first panic by candidate order.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined.into_iter().collect::<Result<Vec<_>, _>>()
-    })
-    .unwrap_or_else(Err)
-    .map_err(|p| {
-        FlowError::internal(format!(
-            "blocksize sweep worker panicked: {}",
-            crate::engine::panic_message(p)
-        ))
-    })?;
-
     let mut best: Option<BlocksizeDse> = None;
     let mut evaluated = 0;
-    for (&b, est) in BLOCKSIZE_CANDIDATES.iter().zip(estimates) {
+    for &b in &BLOCKSIZE_CANDIDATES {
         evaluated += 1;
-        let Some(est) = est else { continue };
+        let Some(est) = model.estimate_cached(work, b, pinned, cache) else {
+            continue;
+        };
         let cand = BlocksizeDse {
             blocksize: b,
             total_s: est.total_s,
@@ -226,43 +200,14 @@ pub fn omp_threads_dse(
     candidates.sort_unstable();
     candidates.dedup();
 
-    // Pure model: evaluate every thread count concurrently, pick the winner
-    // scanning in candidate order (strict `<` keeps the lowest-count tie
-    // winner, as sequentially).
-    let ambient = psa_obs::span::current();
-    let times: Vec<f64> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = candidates
-            .iter()
-            .map(|&t| {
-                s.spawn(move |_| {
-                    let _span = psa_obs::span::propagate(ambient);
-                    model.time_openmp_cached(work, t, cache)
-                })
-            })
-            .collect();
-        // Join eagerly, as in `blocksize_dse`: dropped unjoined handles
-        // would replace a worker's panic payload with the scope's own.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined.into_iter().collect::<Result<Vec<_>, _>>()
-    })
-    .unwrap_or_else(Err)
-    .map_err(|p| {
-        FlowError::internal(format!(
-            "OMP thread sweep worker panicked: {}",
-            crate::engine::panic_message(p)
-        ))
-    })?;
-
-    psa_obs::counter_add(
-        "psa_dse_evaluations_total",
-        &[("dse", "omp-threads")],
-        candidates.len() as u64,
-    );
+    // Candidates run inline in ascending order; strict `<` keeps the
+    // lowest thread count on ties.
     let mut best = ThreadsDse {
         threads: 1,
         total_s: f64::INFINITY,
     };
-    for (&t, total) in candidates.iter().zip(times) {
+    for &t in &candidates {
+        let total = model.time_openmp_cached(work, t, cache);
         if total < best.total_s {
             best = ThreadsDse {
                 threads: t,
@@ -270,6 +215,11 @@ pub fn omp_threads_dse(
             };
         }
     }
+    psa_obs::counter_add(
+        "psa_dse_evaluations_total",
+        &[("dse", "omp-threads")],
+        candidates.len() as u64,
+    );
     Ok(best)
 }
 

@@ -28,9 +28,10 @@
 //!   positions up to and including the **first error in topological
 //!   order** and propagates that error, so an error run's output is also
 //!   schedule-independent;
-//! * `Selection::Many` branch paths execute concurrently (one scoped
-//!   thread per path, each on a cloned context) and merge back **in
-//!   path-index order**, exactly as before the redesign;
+//! * `Selection::Many` branch paths execute concurrently through
+//!   [`FlowEngine::fan_out`] (the same work-stealing scheduler, each path
+//!   on a cloned context) and merge back **in path-index order**, exactly
+//!   as before the redesign;
 //! * wall-clock durations are recorded in the trace but never rendered.
 //!
 //! ## Fault tolerance
@@ -71,8 +72,8 @@ use std::time::{Duration, Instant};
 /// executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Work-stealing node execution, one scoped thread per selected branch
-    /// path (the default).
+    /// Work-stealing execution of graph nodes and of selected branch paths
+    /// (the default).
     #[default]
     Parallel,
     /// The reference scheduler: every node inline on the calling thread,
@@ -265,12 +266,60 @@ impl FlowEngine {
     }
 
     /// Pin the parallel engine's worker-pool size instead of deriving it
-    /// from `available_parallelism` (still capped by graph width, and
-    /// ignored by the sequential engine). Determinism tests use this to
-    /// exercise the work-stealing scheduler even on single-CPU hosts.
+    /// from `available_parallelism` (still capped by graph width or
+    /// fan-out size, and ignored by the sequential engine). Determinism
+    /// tests use this to exercise the work-stealing scheduler even on
+    /// single-CPU hosts.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
+    }
+
+    /// Worker threads for `width` independent units: 1 on the sequential
+    /// engine, else the pinned or available parallelism capped at `width`.
+    fn workers_for(&self, width: usize) -> usize {
+        match self.mode {
+            ExecMode::Sequential => 1,
+            ExecMode::Parallel => self
+                .workers
+                .unwrap_or_else(|| {
+                    std::thread::available_parallelism()
+                        .map(|p| p.get())
+                        .unwrap_or(1)
+                })
+                .min(width),
+        }
+    }
+
+    /// Run `f(0)`, …, `f(n - 1)` as independent units of work and return
+    /// the results in index order — the one fan-out path for branch paths
+    /// and benchmark sweeps.
+    ///
+    /// With one worker (always on the sequential engine) the items run in
+    /// order on the calling thread and nothing is spawned. Otherwise they
+    /// run on the work-stealing scheduler over fresh scoped threads, so
+    /// nested fan-outs never wait on each other's workers. A panicking
+    /// item does not strand its siblings: every item still runs, then the
+    /// first panic by index resumes on the calling thread.
+    pub fn fan_out<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let workers = self.workers_for(n);
+        if workers <= 1 {
+            return (0..n).map(f).collect();
+        }
+        let exec = |i: usize, _: &[Mutex<Option<std::thread::Result<T>>>]| {
+            catch_unwind(AssertUnwindSafe(|| f(i)))
+        };
+        sched::run_work_stealing(n, &vec![Vec::new(); n], &vec![0; n], workers, exec)
+            .into_iter()
+            .map(|slot| match slot.expect("scheduler fills every slot") {
+                Ok(v) => v,
+                Err(payload) => std::panic::resume_unwind(payload),
+            })
+            .collect()
     }
 
     /// Run a linear [`Flow`] to completion against `ctx` (the chain is
@@ -338,17 +387,7 @@ impl FlowEngine {
             })
         };
 
-        let workers = match self.mode {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel => self
-                .workers
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
-                })
-                .min(graph.width()),
-        };
+        let workers = self.workers_for(graph.width());
         let mut outcomes: Vec<NodeOutcome> = if workers <= 1 {
             sched::run_sequential(n, graph.topo(), exec)
         } else {
@@ -766,8 +805,8 @@ impl FlowEngine {
         let mut paths = Vec::with_capacity(indices.len());
         let mut first_err: Option<FlowError> = None;
         // Branch-path spans hang off the branch node's span (the ambient
-        // span on this thread). Captured here because parallel paths run on
-        // fresh scoped threads whose ambient stacks start empty.
+        // span on this thread). Captured here because fanned-out paths may
+        // run on scheduler threads whose ambient stacks start empty.
         let branch_span = psa_obs::span::current().unwrap_or(ctx.span);
 
         // One merge step: fold a finished path's context back into the
@@ -828,19 +867,21 @@ impl FlowEngine {
             });
         };
 
+        // One path on its own context, under a span hanging off the branch.
+        let run_one = |index: usize, mut pctx: FlowContext| {
+            let (label, subgraph) = &bp.paths[index];
+            pctx.span = branch_span.child(label, index as u64);
+            let res = self.run_path(subgraph, &mut pctx, state, label);
+            (res, pctx)
+        };
+
         match self.mode {
             ExecMode::Sequential => {
                 for &index in indices {
-                    let subgraph = &bp.paths[index].1;
                     // The clone carries designs merged from earlier
                     // siblings; only what THIS path appends is its suffix.
                     let base_designs = ctx.designs.len();
-                    let mut pctx = path_context(ctx);
-                    let label = &bp.paths[index].0;
-                    pctx.span = branch_span.child(label, index as u64);
-                    let path_guard = psa_obs::span::enter(pctx.span, label);
-                    let res = self.run_path(subgraph, &mut pctx, state, label);
-                    drop(path_guard);
+                    let (res, pctx) = run_one(index, path_context(ctx));
                     let failed = res.is_err();
                     merge(ctx, &mut first_err, index, res, pctx, base_designs);
                     if failed && self.policy != FailurePolicy::DegradePaths {
@@ -851,51 +892,19 @@ impl FlowEngine {
                 }
             }
             ExecMode::Parallel => {
-                let engine = *self;
-                // Every clone is taken before any merge, so all paths share
-                // one suffix base.
+                // Every clone is taken before the fan-out, so all paths
+                // share one suffix base.
                 let base_designs = ctx.designs.len();
-                let joined = crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = indices
-                        .iter()
-                        .map(|&index| {
-                            let (label, subgraph) = &bp.paths[index];
-                            let mut pctx = path_context(ctx);
-                            pctx.span = branch_span.child(label, index as u64);
-                            s.spawn(move |_| {
-                                let path_guard = psa_obs::span::enter(pctx.span, label);
-                                let res = engine.run_path(subgraph, &mut pctx, state, label);
-                                drop(path_guard);
-                                (res, pctx)
-                            })
-                        })
-                        .collect::<Vec<_>>();
-                    // Join in spawn (= index) order. `run_path` converts
-                    // panics, so a join error means the engine itself
-                    // unwound; synthesise an empty-path failure rather
-                    // than re-raising and losing the siblings.
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|payload| {
-                                (
-                                    Err(FlowError::internal(format!(
-                                        "branch path worker panicked: {}",
-                                        panic_message(payload)
-                                    ))),
-                                    path_context(ctx),
-                                )
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-                if joined.len() != indices.len() {
-                    // Only reachable if the scope closure itself panicked.
-                    first_err = Some(FlowError::internal(
-                        "branch execution scope failed to produce per-path results",
-                    ));
-                }
+                let pctxs: Vec<Mutex<Option<FlowContext>>> = indices
+                    .iter()
+                    .map(|_| Mutex::new(Some(path_context(ctx))))
+                    .collect();
+                let joined = self.fan_out(indices.len(), |k| {
+                    let pctx = sched::lock(&pctxs[k])
+                        .take()
+                        .expect("each path context is taken once");
+                    run_one(indices[k], pctx)
+                });
                 for (&index, (res, pctx)) in indices.iter().zip(joined) {
                     merge(ctx, &mut first_err, index, res, pctx, base_designs);
                 }
@@ -904,10 +913,10 @@ impl FlowEngine {
         (paths, first_err)
     }
 
-    /// Run one branch path's sub-graph with a panic backstop: any unwind
-    /// that escapes the module/select seams (i.e. a bug in the engine or a
-    /// non-send panic site) still becomes a typed error for this path
-    /// instead of tearing down the sweep.
+    /// Run one branch path's sub-graph under the path's span, with a panic
+    /// backstop: any unwind that escapes the module/select seams (i.e. a
+    /// bug in the engine or a non-send panic site) still becomes a typed
+    /// error for this path instead of tearing down the sweep.
     fn run_path(
         &self,
         subgraph: &FlowGraph,
@@ -915,6 +924,7 @@ impl FlowEngine {
         state: RunState,
         label: &str,
     ) -> Result<(), FlowError> {
+        let _path_guard = psa_obs::span::enter(pctx.span, label);
         match catch_unwind(AssertUnwindSafe(|| self.run_graph(subgraph, pctx, state))) {
             Ok(r) => r,
             Err(payload) => {
@@ -960,7 +970,7 @@ fn attempt_module(
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1120,10 +1130,69 @@ mod tests {
         );
     }
 
+    #[test]
+    fn fan_out_returns_results_in_index_order_on_both_engines() {
+        let engines = [
+            FlowEngine::sequential(),
+            FlowEngine::parallel(),
+            FlowEngine::parallel().with_workers(3),
+        ];
+        for engine in engines {
+            // Earlier items sleep longer, so they finish last.
+            let got = engine.fan_out(6, |i| {
+                std::thread::sleep(Duration::from_millis(6 - i as u64));
+                i * 10
+            });
+            assert_eq!(got, [0, 10, 20, 30, 40, 50], "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn fan_out_with_one_worker_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for engine in [
+            FlowEngine::sequential(),
+            FlowEngine::parallel().with_workers(1),
+        ] {
+            let threads = engine.fan_out(4, |_| std::thread::current().id());
+            assert!(threads.iter().all(|&t| t == caller), "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn fan_out_completes_with_more_items_than_workers() {
+        let engine = FlowEngine::parallel().with_workers(2);
+        let got = engine.fan_out(50, |i| i * i);
+        assert_eq!(got, (0..50).map(|i| i * i).collect::<Vec<_>>());
+        // Nested fan-outs start their own workers and never wait on the
+        // outer ones.
+        let nested = engine.fan_out(3, |i| {
+            engine.fan_out(3, |j| i * 3 + j).iter().sum::<usize>()
+        });
+        assert_eq!(nested, [3, 12, 21]);
+    }
+
+    #[test]
+    fn fan_out_resumes_the_first_panic_by_index_after_every_item_ran() {
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            FlowEngine::parallel().with_workers(2).fan_out(4, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i % 2 == 1 {
+                    panic!("item {i}");
+                }
+            })
+        }));
+        let payload = caught.expect_err("an item panicked");
+        assert_eq!(panic_message(payload), "item 1");
+        assert_eq!(ran.load(Ordering::Relaxed), 4, "siblings still ran");
+    }
+
     /// Latency demonstration (ignored by default: it is a timing
     /// measurement, not a correctness property). The fan-out's sleeps model
     /// blocking work — 30+20+0 ms sequentially vs max(30, 20, 0) ms in
-    /// parallel — so the parallel engine wins even on a single core.
+    /// parallel — so the parallel engine wins on any host with more than
+    /// one available CPU (one CPU means one worker, which runs in order).
     /// Run with `cargo test -p psaflow-core -- --ignored --nocapture`.
     #[test]
     #[ignore = "timing measurement, not a correctness check"]

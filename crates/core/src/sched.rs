@@ -7,7 +7,8 @@
 //! scheduler: it executes the same node closure over the stable
 //! topological order, so anything deterministic about the closure's
 //! results holds identically under both schedulers — the engine exploits
-//! this to prove byte-equal output.
+//! this to prove byte-equal output. `FlowEngine::fan_out` drives the
+//! same scheduler with an edge-free DAG of independent items.
 //!
 //! The scheduler is policy-free: it never looks inside a node's result.
 //! Error handling, skip propagation and merge ordering live entirely in

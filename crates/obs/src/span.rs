@@ -159,39 +159,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Resets the ambient span on drop; journals nothing.
-#[must_use = "the ambient span resets when the guard drops"]
-pub struct PropagateGuard {
-    armed: bool,
-}
-
-/// Adopt `ctx` as the ambient span of this thread **without** journaling
-/// open/close events — the cross-thread propagation primitive for helper
-/// threads that work on behalf of a span opened elsewhere (DSE sweep
-/// workers, scoped pools). The span itself was already journaled by
-/// whoever opened it; the adopter only needs attribution for the events
-/// it records. Inert when the recorder is off or `ctx` is `None`.
-pub fn propagate(ctx: Option<SpanCtx>) -> PropagateGuard {
-    if !crate::recorder::enabled() {
-        return PropagateGuard { armed: false };
-    }
-    match ctx {
-        Some(ctx) => {
-            STACK.with(|s| s.borrow_mut().push(Frame { ctx, children: 0 }));
-            PropagateGuard { armed: true }
-        }
-        None => PropagateGuard { armed: false },
-    }
-}
-
-impl Drop for PropagateGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            STACK.with(|s| s.borrow_mut().pop());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -78,3 +78,37 @@ fn cache_seam_delays_are_harmless_and_counted() {
     assert_eq!(baseline.log, delayed.log, "rendered traces byte-equal");
     assert_eq!(baseline.designs.len(), delayed.designs.len());
 }
+
+#[test]
+fn estimate_panic_inside_the_blocksize_sweep_is_a_task_panic() {
+    // The blocksize DSE estimates its candidates inline, so a panicking
+    // estimate unwinds straight into the `Blocksize DSE` task's panic seam:
+    // only the injured device drops, and the failure names the task.
+    let _guard = GLOBAL_PLAN_SLOT.lock().unwrap();
+    let run = || {
+        let plan = Arc::new(
+            FaultPlan::parse("estimate:gpu-estimate/GeForce RTX 2080 Ti@2=panic").unwrap(),
+        );
+        psaflow::faults::install(Arc::clone(&plan));
+        let outcome = run_kmeans(FlowEngine::sequential().with_policy(FailurePolicy::DegradePaths));
+        psaflow::faults::clear();
+        (outcome.expect("degraded sweep survives"), plan.fired())
+    };
+    let (first, fired) = run();
+    assert_eq!(fired, 1, "the @2 occurrence fired exactly once");
+    assert!(first.design_for(DeviceKind::Rtx2080Ti).is_none());
+    assert!(first.design_for(DeviceKind::Gtx1080Ti).is_some());
+    assert!(
+        first
+            .failures
+            .iter()
+            .any(|f| f.error.message().contains("task `Blocksize DSE` panicked")),
+        "{:?}",
+        first.failures
+    );
+
+    let (second, fired_again) = run();
+    assert_eq!(first.log, second.log, "rendered traces byte-equal");
+    assert_eq!(first.failures, second.failures);
+    assert_eq!(fired, fired_again);
+}

@@ -22,20 +22,24 @@ fn params_for(b: &benchsuite::Benchmark) -> PsaParams {
     }
 }
 
-/// One full sweep: every benchmark × both flow modes, DAG-scheduled with a
-/// pinned multi-worker pool (so work stealing is exercised even on
-/// single-CPU hosts) against the single-threaded reference scheduler.
+/// Parallel engines checked against the sequential reference: pinned
+/// pools (so work stealing is exercised even on single-CPU hosts) with
+/// more workers than any branch has paths, fewer, and exactly one (which
+/// fans out on the calling thread).
+fn parallel_engines() -> [FlowEngine; 3] {
+    [
+        FlowEngine::parallel().with_workers(4),
+        FlowEngine::parallel().with_workers(2),
+        FlowEngine::parallel().with_workers(1),
+    ]
+}
+
+/// One full sweep: every benchmark × both flow modes, DAG-scheduled on
+/// each of [`parallel_engines`] against the single-threaded reference
+/// scheduler.
 fn assert_dag_matches_sequential_reference() {
     for bench in benchsuite::all() {
         for mode in [FlowMode::Informed, FlowMode::Uninformed] {
-            let par = full_psa_flow_on(
-                FlowEngine::parallel().with_workers(4),
-                &bench.source,
-                &bench.key,
-                mode,
-                params_for(&bench),
-            )
-            .unwrap_or_else(|e| panic!("{} {mode:?} (parallel): {e}", bench.key));
             let seq = full_psa_flow_on(
                 FlowEngine::sequential(),
                 &bench.source,
@@ -44,28 +48,33 @@ fn assert_dag_matches_sequential_reference() {
                 params_for(&bench),
             )
             .unwrap_or_else(|e| panic!("{} {mode:?} (sequential): {e}", bench.key));
+            for engine in parallel_engines() {
+                let par =
+                    full_psa_flow_on(engine, &bench.source, &bench.key, mode, params_for(&bench))
+                        .unwrap_or_else(|e| panic!("{} {mode:?} ({engine:?}): {e}", bench.key));
 
-            let ctx = format!("{} {mode:?}", bench.key);
-            assert_eq!(par.log, seq.log, "{ctx}: rendered traces diverge");
-            assert_eq!(
-                par.selected_target, seq.selected_target,
-                "{ctx}: selected target"
-            );
-            assert_eq!(
-                par.reference_time_s, seq.reference_time_s,
-                "{ctx}: reference time"
-            );
-            assert_eq!(par.designs.len(), seq.designs.len(), "{ctx}: design count");
-            for (p, s) in par.designs.iter().zip(&seq.designs) {
+                let ctx = format!("{} {mode:?} {engine:?}", bench.key);
+                assert_eq!(par.log, seq.log, "{ctx}: rendered traces diverge");
                 assert_eq!(
-                    p.source, s.source,
-                    "{ctx}: design source for {:?}",
-                    p.device
+                    par.selected_target, seq.selected_target,
+                    "{ctx}: selected target"
                 );
-                // Everything else (estimates, params, notes, flags) via the
-                // full Debug form: identical computations give identical
-                // bits, so the formatted values match exactly.
-                assert_eq!(format!("{p:?}"), format!("{s:?}"), "{ctx}: design metadata");
+                assert_eq!(
+                    par.reference_time_s, seq.reference_time_s,
+                    "{ctx}: reference time"
+                );
+                assert_eq!(par.designs.len(), seq.designs.len(), "{ctx}: design count");
+                for (p, s) in par.designs.iter().zip(&seq.designs) {
+                    assert_eq!(
+                        p.source, s.source,
+                        "{ctx}: design source for {:?}",
+                        p.device
+                    );
+                    // Everything else (estimates, params, notes, flags) via the
+                    // full Debug form: identical computations give identical
+                    // bits, so the formatted values match exactly.
+                    assert_eq!(format!("{p:?}"), format!("{s:?}"), "{ctx}: design metadata");
+                }
             }
         }
     }
@@ -124,28 +133,29 @@ fn chain_and_graph_forms_are_byte_identical() {
                 params_for(bench),
             )
         };
-        let engine = FlowEngine::parallel().with_workers(4);
-        let mut chain_ctx = make_ctx();
-        engine
-            .execute(&build_flow(mode), &mut chain_ctx)
-            .unwrap_or_else(|e| panic!("{mode:?} (chain): {e}"));
-        let mut graph_ctx = make_ctx();
-        engine
-            .execute_graph(&build_graph(mode), &mut graph_ctx)
-            .unwrap_or_else(|e| panic!("{mode:?} (graph): {e}"));
-        assert_eq!(
-            chain_ctx.trace_lines(),
-            graph_ctx.trace_lines(),
-            "{mode:?}: rendered traces diverge between chain and graph forms"
-        );
-        let sources = |c: &FlowContext| -> Vec<String> {
-            c.designs.iter().map(|d| d.source.clone()).collect()
-        };
-        assert_eq!(
-            sources(&chain_ctx),
-            sources(&graph_ctx),
-            "{mode:?}: designs"
-        );
+        for engine in parallel_engines() {
+            let mut chain_ctx = make_ctx();
+            engine
+                .execute(&build_flow(mode), &mut chain_ctx)
+                .unwrap_or_else(|e| panic!("{mode:?} (chain): {e}"));
+            let mut graph_ctx = make_ctx();
+            engine
+                .execute_graph(&build_graph(mode), &mut graph_ctx)
+                .unwrap_or_else(|e| panic!("{mode:?} (graph): {e}"));
+            assert_eq!(
+                chain_ctx.trace_lines(),
+                graph_ctx.trace_lines(),
+                "{mode:?}: rendered traces diverge between chain and graph forms"
+            );
+            let sources = |c: &FlowContext| -> Vec<String> {
+                c.designs.iter().map(|d| d.source.clone()).collect()
+            };
+            assert_eq!(
+                sources(&chain_ctx),
+                sources(&graph_ctx),
+                "{mode:?}: designs"
+            );
+        }
     }
 }
 

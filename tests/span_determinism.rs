@@ -4,19 +4,22 @@
 //! zeroed. This is the tier-1 guarantee that makes recorder dumps
 //! comparable across runs (and bisectable across commits).
 //!
-//! One test function on purpose: the flight recorder is process-global
-//! state, and a sibling test flipping the gate mid-run would corrupt the
-//! snapshots. (Other recorder tests live in `psa-obs` and serialise via
-//! an in-crate lock.)
+//! The flight recorder is process-global state, and a sibling test
+//! flipping the gate mid-run would corrupt the snapshots, so every test
+//! here holds `RECORDER` for its whole run. (Other recorder tests live in
+//! `psa-obs` and serialise via an in-crate lock.)
 
 use psaflow::benchsuite;
 use psaflow::core::context::psa_benchsuite_shim;
+use psaflow::core::dse::BLOCKSIZE_CANDIDATES;
 use psaflow::core::flows::full_psa_flow_cached_on;
 use psaflow::core::{EvalCache, FlowEngine, FlowMode, PsaParams};
-use psaflow::obs::recorder::{self, Snapshot};
-use std::sync::Arc;
+use psaflow::obs::recorder::{self, EventKind, Snapshot};
+use std::sync::{Arc, Mutex};
 
-fn recorded_run() -> Snapshot {
+static RECORDER: Mutex<()> = Mutex::new(());
+
+fn recorded_run(mode: FlowMode) -> Snapshot {
     recorder::reset();
     let bench = benchsuite::by_key("kmeans").unwrap();
     let params = PsaParams {
@@ -32,7 +35,7 @@ fn recorded_run() -> Snapshot {
         FlowEngine::sequential(),
         &bench.source,
         &bench.key,
-        FlowMode::Informed,
+        mode,
         params,
         Arc::new(EvalCache::new()),
     )
@@ -49,9 +52,10 @@ fn recorded_run() -> Snapshot {
 
 #[test]
 fn two_seeded_runs_produce_identical_span_ids_and_bundles() {
+    let _gate = RECORDER.lock().unwrap_or_else(|p| p.into_inner());
     recorder::set_enabled(true);
-    let first = recorded_run();
-    let second = recorded_run();
+    let first = recorded_run(FlowMode::Informed);
+    let second = recorded_run(FlowMode::Informed);
     recorder::set_enabled(false);
 
     // Span ids are structural (FNV over names + seed), so the span tables
@@ -85,4 +89,52 @@ fn two_seeded_runs_produce_identical_span_ids_and_bundles() {
         }
     }
     assert!(roots >= 1, "at least the flow root span is parentless");
+}
+
+#[test]
+fn sequential_run_records_on_one_worker_with_dse_estimates_attributed() {
+    let _gate = RECORDER.lock().unwrap_or_else(|p| p.into_inner());
+    recorder::set_enabled(true);
+    // The uninformed flow maps kmeans to every device, GPUs included.
+    let snapshot = recorded_run(FlowMode::Uninformed);
+    recorder::set_enabled(false);
+
+    // The sequential engine spawns nothing: the flow, its branch paths and
+    // its DSE sweeps all record on the calling thread's ring.
+    assert_eq!(snapshot.workers.len(), 1, "one recorder worker");
+    assert!(snapshot.spans.iter().all(|s| s.worker == 0));
+
+    // Between a `Blocksize DSE` span's open and close (the ring evicts
+    // oldest-first, so a surviving open keeps its whole sweep), the sweep
+    // journals one GPU estimate per candidate, each under that span.
+    let label = |id: u64| {
+        snapshot
+            .spans
+            .iter()
+            .find(|s| s.ctx.span_id == id)
+            .map(|s| s.label.as_str())
+    };
+    let mut open_sweep: Option<(u64, usize)> = None;
+    let mut sweeps = 0;
+    for e in &snapshot.workers[0].events {
+        let span = e.span.map(|s| s.span_id);
+        match (&e.kind, open_sweep) {
+            (EventKind::SpanOpen { label: l }, None) if l == "Blocksize DSE" => {
+                open_sweep = span.map(|id| (id, 0));
+            }
+            (EventKind::Estimate { site }, Some((id, n))) => {
+                assert!(site.starts_with("gpu-estimate/"), "{site}");
+                assert_eq!(span, Some(id), "estimate outside its sweep span");
+                assert_eq!(label(id), Some("Blocksize DSE"));
+                open_sweep = Some((id, n + 1));
+            }
+            (EventKind::SpanClose, Some((id, n))) if span == Some(id) => {
+                assert_eq!(n, BLOCKSIZE_CANDIDATES.len(), "one estimate per candidate");
+                open_sweep = None;
+                sweeps += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(sweeps > 0, "a whole blocksize sweep survived in the ring");
 }
