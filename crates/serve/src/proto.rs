@@ -17,7 +17,8 @@
 //! {"op":"cancel","id":"j1"}      cooperatively cancel a queued/running job
 //! {"op":"resume"}                start executing (paused-start servers)
 //! {"op":"wait"}                  block until every accepted job finished;
-//!                                emits results in submission order
+//!                                emits the results no earlier wait
+//!                                returned, in submission order
 //! {"op":"stats"}                 admission/outcome counters
 //! {"op":"metrics"}               Prometheus text exposition (as a string)
 //! {"op":"drain"}                 stop admitting, finish in-flight work,

@@ -14,6 +14,12 @@
 //! outcome is a pure function of the submission stream — results carry no
 //! wall-clock values and `wait` emits them in submission order, so two
 //! runs of the same stream produce byte-identical output.
+//!
+//! Each result is delivered once: `wait` moves the results no earlier
+//! `wait` returned out of the server and emits them in submission order.
+//! The server keeps no rendered outcome after handing it over — only a
+//! finished-job counter and, when drain flushes bundles, a small
+//! `(tenant, id, trace id)` record per job.
 
 use crate::admission::{AdmissionController, TenantPolicy};
 use crate::proto::{
@@ -99,7 +105,13 @@ struct Stats {
 struct State {
     admission: AdmissionController,
     queue: VecDeque<Admitted>,
+    /// Finished results no `wait` has returned yet, by submission seq.
     results: BTreeMap<u64, JobResult>,
+    /// Jobs that reached a terminal state since the server started.
+    finished: u64,
+    /// `(tenant, id, trace id)` of every finished job, by submission seq,
+    /// for drain's per-job bundle flush; kept only with a bundle dir.
+    bundle_jobs: BTreeMap<u64, (String, String, u64)>,
     /// Cancellation handles for queued + running jobs, by job id.
     cancels: HashMap<String, Arc<CancelToken>>,
     stats: Stats,
@@ -159,6 +171,8 @@ impl Server {
                 admission,
                 queue: VecDeque::new(),
                 results: BTreeMap::new(),
+                finished: 0,
+                bundle_jobs: BTreeMap::new(),
                 cancels: HashMap::new(),
                 stats: Stats::default(),
                 next_seq: 0,
@@ -302,18 +316,25 @@ impl Server {
     }
 
     /// Block until every accepted job reached a terminal state, then emit
-    /// all results in submission order. Implies `resume` (waiting on a
-    /// paused queue would deadlock by construction).
+    /// the results no earlier `wait` returned, in submission order. Each
+    /// result is handed over once and dropped by the server. Implies
+    /// `resume` (waiting on a paused queue would deadlock by construction).
     fn wait(&self) -> Vec<Response> {
         self.resume();
+        let mut s = self.all_finished();
+        std::mem::take(&mut s.results)
+            .into_values()
+            .map(|r| Response::Result(Box::new(r)))
+            .collect()
+    }
+
+    /// Lock the state once every accepted job reached a terminal state.
+    fn all_finished(&self) -> MutexGuard<'_, State> {
         let mut s = self.inner.lock();
-        while (s.results.len() as u64) < s.stats.accepted {
+        while s.finished < s.stats.accepted {
             s = self.inner.done.wait(s).unwrap_or_else(|p| p.into_inner());
         }
-        s.results
-            .values()
-            .map(|r| Response::Result(Box::new(r.clone())))
-            .collect()
+        s
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -346,13 +367,7 @@ impl Server {
             s.paused = false;
         }
         self.inner.work.notify_all();
-        // Wait for every accepted job to reach a terminal state.
-        {
-            let mut s = self.inner.lock();
-            while (s.results.len() as u64) < s.stats.accepted {
-                s = self.inner.done.wait(s).unwrap_or_else(|p| p.into_inner());
-            }
-        }
+        drop(self.all_finished());
         let bundles = self.flush_artifacts();
         // Stop and reap the workers.
         {
@@ -366,7 +381,7 @@ impl Server {
             let _ = h.join();
         }
         self.inner.shutdown_flag.store(true, Ordering::Release);
-        let completed = self.inner.lock().results.len() as u64;
+        let completed = self.inner.lock().finished;
         Response::Drained { completed, bundles }
     }
 
@@ -388,13 +403,8 @@ impl Server {
             return 0;
         }
         let snap = psa_obs::recorder::snapshot();
-        let jobs: Vec<(String, String, u64)> = {
-            let s = self.inner.lock();
-            s.results
-                .values()
-                .map(|r| (r.tenant.clone(), r.id.clone(), r.trace_id))
-                .collect()
-        };
+        let jobs: Vec<(String, String, u64)> =
+            self.inner.lock().bundle_jobs.values().cloned().collect();
         let mut written = 0;
         for (tenant, id, trace_id) in jobs {
             let per_job = snap.for_trace(trace_id);
@@ -522,6 +532,11 @@ fn worker_loop(inner: &Inner) {
             JobStatus::Panicked => s.stats.panicked += 1,
             JobStatus::DeadlineExpired => s.stats.deadline_expired += 1,
             JobStatus::Cancelled => s.stats.cancelled += 1,
+        }
+        s.finished += 1;
+        if inner.cfg.bundle_dir.is_some() {
+            s.bundle_jobs
+                .insert(result.seq, (tenant, id, result.trace_id));
         }
         s.results.insert(result.seq, result);
         drop(s);

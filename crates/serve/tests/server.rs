@@ -1,6 +1,6 @@
 //! Integration tests for the psa-serve daemon core: deterministic
 //! admission, typed rejections, fault isolation, cancellation, deadlines,
-//! ordered results, EOF drain and the TCP front-end.
+//! ordered results delivered once, EOF drain and the TCP front-end.
 
 use psa_serve::loadgen::{script, LoadConfig};
 use psa_serve::{
@@ -156,6 +156,60 @@ fn results_are_ordered_and_byte_identical_to_offline_runs() {
             }
             other => panic!("{other:?}"),
         }
+    }
+}
+
+/// The ids of a `wait`'s result lines, checking they are in
+/// submission order.
+fn result_ids(responses: &[Response]) -> Vec<String> {
+    let mut last_seq = None;
+    responses
+        .iter()
+        .map(|resp| match resp {
+            Response::Result(r) => {
+                assert!(last_seq < Some(r.seq), "submission order: {responses:?}");
+                last_seq = Some(r.seq);
+                assert_eq!(r.status, JobStatus::Done, "{}", r.detail);
+                r.id.clone()
+            }
+            other => panic!("{other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn each_wait_delivers_only_the_results_not_yet_returned() {
+    let server = Server::new(ServerConfig {
+        workers: 2,
+        queue_capacity: 100,
+        ..ServerConfig::default()
+    });
+    let submit = |ids: &[&str], arrive: u64| {
+        for id in ids {
+            assert!(matches!(
+                one(&server, Request::Submit(job(id, "t", arrive))),
+                Response::Accepted { .. }
+            ));
+        }
+    };
+    submit(&["a1", "a2", "a3"], 0);
+    assert_eq!(
+        result_ids(&server.handle_request(&Request::Wait)),
+        ["a1", "a2", "a3"]
+    );
+    submit(&["b1", "b2"], 10);
+    assert_eq!(
+        result_ids(&server.handle_request(&Request::Wait)),
+        ["b1", "b2"],
+        "the second wait returns exactly the second batch"
+    );
+    assert!(
+        server.handle_request(&Request::Wait).is_empty(),
+        "nothing left to deliver"
+    );
+    match one(&server, Request::Drain) {
+        Response::Drained { completed, .. } => assert_eq!(completed, 5),
+        other => panic!("{other:?}"),
     }
 }
 
@@ -362,8 +416,9 @@ fn eof_implies_graceful_drain() {
     assert!(server.is_shutdown());
 }
 
-#[test]
-fn tcp_smoke() {
+/// Send `session` to a fresh paused TCP server and return its response
+/// lines; the server is shut down when the connection drains it.
+fn tcp_session(session: &[Request]) -> Vec<String> {
     let server = Arc::new(Server::new(ServerConfig {
         workers: 2,
         queue_capacity: 16,
@@ -379,17 +434,12 @@ fn tcp_smoke() {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     {
         use std::io::Write;
-        let mut session = String::new();
-        for req in [
-            Request::Submit(job("tcp-1", "t", 0)),
-            Request::Submit(job("tcp-2", "t", 1)),
-            Request::Wait,
-            Request::Drain,
-        ] {
-            session.push_str(&psa_serve::encode_request(&req));
-            session.push('\n');
+        let mut script = String::new();
+        for req in session {
+            script.push_str(&psa_serve::encode_request(req));
+            script.push('\n');
         }
-        stream.write_all(session.as_bytes()).expect("send");
+        stream.write_all(script.as_bytes()).expect("send");
     }
     let mut lines = Vec::new();
     {
@@ -399,14 +449,50 @@ fn tcp_smoke() {
             lines.push(line.expect("line"));
         }
     }
-    assert_eq!(lines.len(), 5, "{lines:?}");
-    assert!(lines[0].contains("accepted") && lines[1].contains("accepted"));
-    assert!(lines[2].contains("\"status\":\"done\""));
-    assert!(lines[3].contains("\"status\":\"done\""));
-    assert!(lines[4].contains("\"op\":\"drain\""));
     acceptor
         .join()
         .expect("acceptor joins")
         .expect("acceptor io");
     assert!(server.is_shutdown());
+    lines
+}
+
+#[test]
+fn tcp_smoke() {
+    let lines = tcp_session(&[
+        Request::Submit(job("tcp-1", "t", 0)),
+        Request::Submit(job("tcp-2", "t", 1)),
+        Request::Wait,
+        Request::Drain,
+    ]);
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    assert!(lines[0].contains("accepted") && lines[1].contains("accepted"));
+    assert!(lines[2].contains("\"status\":\"done\""));
+    assert!(lines[3].contains("\"status\":\"done\""));
+    assert!(lines[4].contains("\"op\":\"drain\""));
+}
+
+#[test]
+fn tcp_waits_deliver_each_result_once() {
+    let lines = tcp_session(&[
+        Request::Submit(job("tcp-1", "t", 0)),
+        Request::Submit(job("tcp-2", "t", 1)),
+        Request::Wait,
+        Request::Submit(job("tcp-3", "t", 2)),
+        Request::Wait,
+        Request::Drain,
+    ]);
+    let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+    assert_eq!(lines.len(), 7, "{lines:?}");
+    assert_eq!(count("\"status\":\"accepted\""), 3, "{lines:?}");
+    assert_eq!(count("\"op\":\"result\""), 3, "{lines:?}");
+    assert_eq!(count("\"op\":\"drain\""), 1, "{lines:?}");
+    for (line, id) in [(2, "tcp-1"), (3, "tcp-2"), (5, "tcp-3")] {
+        assert!(lines[line].contains("\"op\":\"result\""), "{lines:?}");
+        assert!(
+            lines[line].contains(&format!("\"id\":\"{id}\"")),
+            "{lines:?}"
+        );
+    }
+    assert!(lines[6].contains("\"completed\":3"), "{lines:?}");
 }

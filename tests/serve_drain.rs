@@ -1,8 +1,8 @@
 //! Graceful drain under load: a drain request during active jobs must
 //! stop admissions with typed 503s, let in-flight work finish, flush the
 //! final metrics snapshot and one forensic bundle per job (rooted at the
-//! job's `psa-serve/{tenant}/{id}` span), and leave the daemon cleanly
-//! shut down.
+//! job's `psa-serve/{tenant}/{id}` span, whether or not a `wait` already
+//! delivered its result), and leave the daemon cleanly shut down.
 //!
 //! One test per binary: the flight recorder is process-global state, so
 //! this file owns it for its whole run.
@@ -52,12 +52,16 @@ fn drain_flushes_metrics_and_per_job_bundles() {
     });
 
     const JOBS: usize = 6;
-    for i in 0..JOBS {
-        match server.handle_request(&Request::Submit(job(i))).remove(0) {
-            Response::Accepted { .. } => {}
-            other => panic!("job {i} not accepted: {other:?}"),
-        }
-    }
+    let submit = |i: usize| match server.handle_request(&Request::Submit(job(i))).remove(0) {
+        Response::Accepted { .. } => {}
+        other => panic!("job {i} not accepted: {other:?}"),
+    };
+    // The first half is delivered by a `wait` before drain: a delivered
+    // result still gets its bundle.
+    (0..JOBS / 2).for_each(submit);
+    let delivered = server.handle_request(&Request::Wait);
+    assert_eq!(delivered.len(), JOBS / 2, "wait delivers the first half");
+    (JOBS / 2..JOBS).for_each(submit);
 
     // Drain while jobs are live: blocks until every accepted job reaches
     // a terminal state, then flushes artifacts and joins the workers.
