@@ -9,7 +9,39 @@
 use super::TransformError;
 use psa_interp::intrinsics::sp_variant;
 use psa_minicpp::ast::*;
-use psa_minicpp::visit::{self, VisitMut};
+use psa_minicpp::visit::{self, Visit, VisitMut};
+
+/// Count the sites [`employ_sp_literals`] would rewrite in `fn_name`,
+/// without touching the module: a caller holding a shared AST can leave it
+/// shared when the count is 0.
+pub fn sp_literal_sites(module: &Module, fn_name: &str) -> Result<usize, TransformError> {
+    struct Count(usize);
+    impl Visit for Count {
+        fn visit_expr(&mut self, e: &Expr) {
+            match &e.kind {
+                ExprKind::FloatLit { single: false, .. } => self.0 += 1,
+                ExprKind::Cast { ty, .. } if ty.scalar == Scalar::Double => self.0 += 1,
+                _ => {}
+            }
+            visit::walk_expr(self, e);
+        }
+
+        fn visit_stmt(&mut self, s: &Stmt) {
+            if matches!(&s.kind, StmtKind::Decl(d) if d.ty.scalar == Scalar::Double) {
+                self.0 += 1;
+            }
+            visit::walk_stmt(self, s);
+        }
+    }
+
+    let func = module
+        .function(fn_name)
+        .ok_or_else(|| TransformError::new(format!("no function `{fn_name}`")))?;
+    let signature = func.params.iter().map(|p| &p.ty).chain([&func.ret]);
+    let mut v = Count(signature.filter(|t| t.scalar == Scalar::Double).count());
+    v.visit_function(func);
+    Ok(v.0)
+}
 
 /// Convert every `double` literal, declaration, parameter, and cast in
 /// function `fn_name` to `float`. Returns the number of rewrites.
@@ -60,6 +92,26 @@ pub fn employ_sp_literals(module: &mut Module, fn_name: &str) -> Result<usize, T
     }
     v.visit_function_mut(func);
     Ok(v.count)
+}
+
+/// Count the calls [`employ_sp_math`] would rewrite in `fn_name`, without
+/// touching the module.
+pub fn sp_math_sites(module: &Module, fn_name: &str) -> Result<usize, TransformError> {
+    struct Count(usize);
+    impl Visit for Count {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let ExprKind::Call { callee, .. } = &e.kind {
+                self.0 += usize::from(sp_variant(callee).is_some());
+            }
+            visit::walk_expr(self, e);
+        }
+    }
+    let func = module
+        .function(fn_name)
+        .ok_or_else(|| TransformError::new(format!("no function `{fn_name}`")))?;
+    let mut v = Count(0);
+    v.visit_function(func);
+    Ok(v.0)
 }
 
 /// Replace double-precision math calls (`sqrt`, `exp`, …) with their
@@ -143,6 +195,35 @@ mod tests {
         let mut m = parse_module(KNL, "t").unwrap();
         assert!(employ_sp_literals(&mut m, "nope").is_err());
         assert!(employ_sp_math(&mut m, "nope").is_err());
+        assert!(sp_literal_sites(&m, "nope").is_err());
+        assert!(sp_math_sites(&m, "nope").is_err());
+    }
+
+    #[test]
+    fn site_counts_match_what_the_rewrites_report() {
+        let nested = "double knl(double x, int n) {\
+            double s = 0.0;\
+            for (int i = 0; i < n; i++) { s += (double)i * exp(sqrt(x) * 0.5); }\
+            return s;\
+          }";
+        let single = "void knl(float* a, int n) {\
+            for (int i = 0; i < n; i++) { a[i] = sqrtf(a[i]) * 2.0f; }\
+          }";
+        for src in [KNL, nested, single] {
+            let m = parse_module(src, "t").unwrap();
+            let (literals, math) = (
+                sp_literal_sites(&m, "knl").unwrap(),
+                sp_math_sites(&m, "knl").unwrap(),
+            );
+            let mut rewritten = m.clone();
+            assert_eq!(employ_sp_literals(&mut rewritten, "knl").unwrap(), literals);
+            assert_eq!(employ_sp_math(&mut rewritten, "knl").unwrap(), math);
+            assert_eq!(sp_literal_sites(&rewritten, "knl").unwrap(), 0);
+            assert_eq!(sp_math_sites(&rewritten, "knl").unwrap(), 0);
+        }
+        let m = parse_module(single, "t").unwrap();
+        assert_eq!(sp_literal_sites(&m, "knl").unwrap(), 0);
+        assert_eq!(sp_math_sites(&m, "knl").unwrap(), 0);
     }
 
     #[test]

@@ -24,6 +24,13 @@ use crate::{edit, query};
 use psa_minicpp::ast::*;
 use std::collections::HashSet;
 
+/// Count the accumulations [`remove_array_accumulation`] would hoist out
+/// of the loop with statement id `loop_stmt`, without touching the module
+/// (a caller holding a shared AST can leave it shared when the count is 0).
+pub fn accumulation_sites(module: &Module, loop_stmt: NodeId) -> Result<usize, TransformError> {
+    Ok(accumulation_targets(module, loop_stmt)?.len())
+}
+
 /// Apply the rewrite to every eligible accumulation directly inside the
 /// body of the loop with statement id `loop_stmt`. Returns how many
 /// accumulators were introduced.
@@ -31,49 +38,7 @@ pub fn remove_array_accumulation(
     module: &mut Module,
     loop_stmt: NodeId,
 ) -> Result<usize, TransformError> {
-    let host = query::enclosing_function(module, loop_stmt)
-        .ok_or_else(|| TransformError::new(format!("statement {loop_stmt} not in a function")))?;
-    let symbols = function_symbols(module, host);
-
-    let stmt = query::find_stmt(module, loop_stmt).expect("in function implies found");
-    let StmtKind::For(l) = &stmt.kind else {
-        return Err(TransformError::new("target statement is not a for-loop"));
-    };
-    let loop_var = l.var.clone();
-
-    // Identify eligible accumulations: `arr[idx] op= value` at the top level
-    // of the body, where `idx` does not read the loop variable (so it names
-    // one fixed location per loop execution) and `arr` is not otherwise
-    // written in the body (so the hoisted copy cannot go stale).
-    let arrays_written_elsewhere = count_array_writes(&l.body);
-    let mut targets = Vec::new();
-    for (pos, s) in l.body.stmts.iter().enumerate() {
-        if let StmtKind::Assign { target, op, .. } = &s.kind {
-            if op.bin_op().is_none() {
-                continue;
-            }
-            let ExprKind::Index { base, index } = &target.kind else {
-                continue;
-            };
-            let Some(arr) = base.as_ident() else { continue };
-            let mut read: HashSet<String> = HashSet::new();
-            query::idents_read(index, &mut read);
-            if read.contains(&loop_var) {
-                continue;
-            }
-            if arrays_written_elsewhere.get(arr).copied().unwrap_or(0) > 1 {
-                continue; // other writes to the same array: stay conservative
-            }
-            let scalar = symbols
-                .get(arr)
-                .filter(|t| t.is_pointer())
-                .map(|t| t.scalar)
-                .ok_or_else(|| {
-                    TransformError::new(format!("`{arr}` is not a known pointer/array"))
-                })?;
-            targets.push((pos, scalar));
-        }
-    }
+    let targets = accumulation_targets(module, loop_stmt)?;
     if targets.is_empty() {
         return Ok(0);
     }
@@ -134,6 +99,58 @@ pub fn remove_array_accumulation(
         out
     })?;
     Ok(n)
+}
+
+/// The eligible accumulations directly inside the body of loop
+/// `loop_stmt`: each one's position in the body and its element type.
+fn accumulation_targets(
+    module: &Module,
+    loop_stmt: NodeId,
+) -> Result<Vec<(usize, Scalar)>, TransformError> {
+    let host = query::enclosing_function(module, loop_stmt)
+        .ok_or_else(|| TransformError::new(format!("statement {loop_stmt} not in a function")))?;
+    let symbols = function_symbols(module, host);
+
+    let stmt = query::find_stmt(module, loop_stmt).expect("in function implies found");
+    let StmtKind::For(l) = &stmt.kind else {
+        return Err(TransformError::new("target statement is not a for-loop"));
+    };
+    let loop_var = l.var.clone();
+
+    // Identify eligible accumulations: `arr[idx] op= value` at the top level
+    // of the body, where `idx` does not read the loop variable (so it names
+    // one fixed location per loop execution) and `arr` is not otherwise
+    // written in the body (so the hoisted copy cannot go stale).
+    let arrays_written_elsewhere = count_array_writes(&l.body);
+    let mut targets = Vec::new();
+    for (pos, s) in l.body.stmts.iter().enumerate() {
+        if let StmtKind::Assign { target, op, .. } = &s.kind {
+            if op.bin_op().is_none() {
+                continue;
+            }
+            let ExprKind::Index { base, index } = &target.kind else {
+                continue;
+            };
+            let Some(arr) = base.as_ident() else { continue };
+            let mut read: HashSet<String> = HashSet::new();
+            query::idents_read(index, &mut read);
+            if read.contains(&loop_var) {
+                continue;
+            }
+            if arrays_written_elsewhere.get(arr).copied().unwrap_or(0) > 1 {
+                continue; // other writes to the same array: stay conservative
+            }
+            let scalar = symbols
+                .get(arr)
+                .filter(|t| t.is_pointer())
+                .map(|t| t.scalar)
+                .ok_or_else(|| {
+                    TransformError::new(format!("`{arr}` is not a known pointer/array"))
+                })?;
+            targets.push((pos, scalar));
+        }
+    }
+    Ok(targets)
 }
 
 /// Count direct array-write statements per base name in a block (recursive).

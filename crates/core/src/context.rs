@@ -75,14 +75,19 @@ impl Default for PsaParams {
 
 /// The mutable state of one flow execution.
 ///
-/// Branch points clone the context per selected path, so everything here is
-/// `Clone`; designs produced on diverging paths are merged back into the
-/// parent by the flow engine.
+/// The engine gives every graph node and every branch path its own
+/// context, so everything here is `Clone`; designs produced on diverging
+/// paths are merged back into the parent by the flow engine. The working
+/// AST sits behind an `Arc` and is copied on write: cloning a context
+/// shares the AST, and only a task that rewrites the program (through
+/// [`Self::module_mut`]) pays for a private copy, so a sibling path or the
+/// caller never sees another context's rewrite.
 #[derive(Debug, Clone)]
 pub struct FlowContext {
-    /// The working AST (starts as the unoptimised reference; tasks rewrite
-    /// it in place).
-    pub ast: Ast,
+    /// The working AST (starts as the unoptimised reference). Shared
+    /// between contexts; read it through auto-deref (`ctx.ast.module`),
+    /// rewrite it only through [`Self::module_mut`].
+    pub ast: Arc<Ast>,
     /// The extracted kernel's name, once partitioning has happened.
     pub kernel: Option<String>,
     /// The hotspot-detection report (partitioning evidence).
@@ -149,16 +154,16 @@ pub struct FlowContext {
 impl FlowContext {
     /// Start a flow over a parsed application with a fresh enabled
     /// evaluation cache.
-    pub fn new(ast: Ast, params: PsaParams) -> Self {
+    pub fn new(ast: impl Into<Arc<Ast>>, params: PsaParams) -> Self {
         Self::with_cache(ast, params, Arc::new(EvalCache::new()))
     }
 
     /// Start a flow sharing a caller-owned evaluation cache (e.g. one cache
     /// across an informed and an uninformed run of the same application, or
     /// [`EvalCache::disabled`] to force every evaluation to recompute).
-    pub fn with_cache(ast: Ast, params: PsaParams, cache: Arc<EvalCache>) -> Self {
+    pub fn with_cache(ast: impl Into<Arc<Ast>>, params: PsaParams, cache: Arc<EvalCache>) -> Self {
         FlowContext {
-            ast,
+            ast: ast.into(),
             kernel: None,
             hotspot: None,
             analysis: None,
@@ -208,6 +213,15 @@ impl FlowContext {
             return plan.probe(seam, &site());
         }
         psa_faults::probe(seam, site)
+    }
+
+    /// The working module, for a task that rewrites it. Copies the AST
+    /// first when another context still shares it (`Arc::make_mut`), so
+    /// call it only once a rewrite is certain: a task that finds nothing
+    /// to change should decide that on `&ctx.ast.module` and leave the
+    /// AST shared.
+    pub fn module_mut(&mut self) -> &mut psa_minicpp::Module {
+        &mut Arc::make_mut(&mut self.ast).module
     }
 
     /// Append a free-form trace line (recorded as a [`TraceEvent::Note`]).

@@ -30,8 +30,12 @@
 //!   schedule-independent;
 //! * `Selection::Many` branch paths execute concurrently through
 //!   [`FlowEngine::fan_out`] (the same work-stealing scheduler, each path
-//!   on a cloned context) and merge back **in path-index order**, exactly
-//!   as before the redesign;
+//!   on a fork of the context's value state) and merge back **in
+//!   path-index order**, exactly as before the redesign;
+//! * node and path contexts share one AST (`Arc<Ast>`); a task that
+//!   rewrites the program copies it first ([`FlowContext::module_mut`]),
+//!   so no context ever observes a sibling's or a dependent's rewrite and
+//!   sharing cannot leak into output;
 //! * wall-clock durations are recorded in the trace but never rendered.
 //!
 //! ## Fault tolerance
@@ -57,7 +61,7 @@
 use crate::context::FlowContext;
 use crate::flow::{BranchPoint, Flow, FlowError, Selection};
 use crate::graph::{FlowGraph, GraphNode};
-use crate::ports::{self, Port};
+use crate::ports;
 use crate::report::{DesignArtifact, PathFailure};
 use crate::sched;
 use crate::task::TaskInfo;
@@ -496,7 +500,9 @@ impl FlowEngine {
             if Some(d) == plan.base {
                 let ctx = if last { o.ctx.take() } else { o.ctx.clone() };
                 input = Some(ctx.expect("non-skipped dependency keeps its context"));
-            } else if let Some((_, set)) = plan.imports.iter().find(|(p, _)| *p == d) {
+                continue;
+            }
+            if let Some((_, set)) = plan.imports.iter().find(|(p, _)| *p == d) {
                 let src = o
                     .ctx
                     .as_ref()
@@ -507,6 +513,13 @@ impl FlowEngine {
                 for port in set.iter() {
                     ports::copy_port(dst, src, port);
                 }
+            }
+            if last {
+                // Nothing reads this context again: a node with a running
+                // dependent is no terminal of the final join. Dropping it
+                // releases its share of the AST, so a rewrite downstream
+                // does not copy for a reader that is gone.
+                o.ctx = None;
             }
         }
         let mut input = input.expect("every non-root node has a join base");
@@ -789,8 +802,9 @@ impl FlowEngine {
         }
     }
 
-    /// Execute the selected paths of a `Many` branch, each on a clone of
-    /// `ctx`, and merge design suffixes back into `ctx` in index order.
+    /// Execute the selected paths of a `Many` branch, each on a fork of
+    /// `ctx`'s value state, and merge their designs back into `ctx` in
+    /// index order.
     /// Returns the per-path traces plus the first (by index) propagating
     /// path error. Never unwinds: path panics arrive here already converted
     /// to [`FlowError::Internal`], so sibling traces are always preserved.
@@ -817,10 +831,10 @@ impl FlowEngine {
                          first_err: &mut Option<FlowError>,
                          index: usize,
                          res: Result<(), FlowError>,
-                         mut pctx: FlowContext,
-                         base_designs: usize| {
+                         mut pctx: FlowContext| {
             let label = &bp.paths[index].0;
-            let suffix = pctx.designs.split_off(base_designs);
+            // A path starts with no designs, so all it holds are its own.
+            let suffix = std::mem::take(&mut pctx.designs);
             let mut events = std::mem::take(&mut pctx.trace);
             // Failures degraded inside the path (nested branches) bubble
             // up into the parent's failure log, before the path's own.
@@ -878,12 +892,9 @@ impl FlowEngine {
         match self.mode {
             ExecMode::Sequential => {
                 for &index in indices {
-                    // The clone carries designs merged from earlier
-                    // siblings; only what THIS path appends is its suffix.
-                    let base_designs = ctx.designs.len();
-                    let (res, pctx) = run_one(index, path_context(ctx));
+                    let (res, pctx) = run_one(index, value_state(ctx));
                     let failed = res.is_err();
-                    merge(ctx, &mut first_err, index, res, pctx, base_designs);
+                    merge(ctx, &mut first_err, index, res, pctx);
                     if failed && self.policy != FailurePolicy::DegradePaths {
                         // As in the legacy engine: stop at the first
                         // failing path; earlier paths' designs stay.
@@ -892,12 +903,9 @@ impl FlowEngine {
                 }
             }
             ExecMode::Parallel => {
-                // Every clone is taken before the fan-out, so all paths
-                // share one suffix base.
-                let base_designs = ctx.designs.len();
                 let pctxs: Vec<Mutex<Option<FlowContext>>> = indices
                     .iter()
-                    .map(|_| Mutex::new(Some(path_context(ctx))))
+                    .map(|_| Mutex::new(Some(value_state(ctx))))
                     .collect();
                 let joined = self.fan_out(indices.len(), |k| {
                     let pctx = sched::lock(&pctxs[k])
@@ -906,7 +914,7 @@ impl FlowEngine {
                     run_one(indices[k], pctx)
                 });
                 for (&index, (res, pctx)) in indices.iter().zip(joined) {
-                    merge(ctx, &mut first_err, index, res, pctx, base_designs);
+                    merge(ctx, &mut first_err, index, res, pctx);
                 }
             }
         }
@@ -980,36 +988,44 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Clone of the context a branch path starts from: full state, empty trace
-/// and failure log (the path's events and failures are collected separately
-/// and re-attached / re-merged in order — inheriting the parent's would
-/// duplicate them at the merge).
-fn path_context(ctx: &FlowContext) -> FlowContext {
-    let mut c = ctx.clone();
-    c.trace = Vec::new();
-    c.pending_decision = None;
-    c.failures = Vec::new();
-    c
-}
-
-/// Clone of a context's *value state* only: the accumulator channels start
-/// empty, so a node records pure deltas.
+/// A fork of a context's *value state*: the ports, the pending decision
+/// and the shared plumbing (cache, fault plan, cancel token, span), with
+/// the accumulator channels empty, so whatever runs on it records pure
+/// deltas. The start of every graph run and of every branch path. The
+/// AST is shared, not copied.
 fn value_state(ctx: &FlowContext) -> FlowContext {
-    let mut c = ctx.clone();
-    c.trace = Vec::new();
-    c.designs = Vec::new();
-    c.failures = Vec::new();
-    c
+    FlowContext {
+        ast: std::sync::Arc::clone(&ctx.ast),
+        kernel: ctx.kernel.clone(),
+        hotspot: ctx.hotspot.clone(),
+        analysis: ctx.analysis.clone(),
+        tuned: ctx.tuned,
+        shared_mem_arrays: ctx.shared_mem_arrays.clone(),
+        smem_staged_fraction: ctx.smem_staged_fraction,
+        selected_target: ctx.selected_target,
+        fpga_unsynthesizable: ctx.fpga_unsynthesizable.clone(),
+        params: ctx.params.clone(),
+        reference_time_s: ctx.reference_time_s,
+        designs: Vec::new(),
+        cache: std::sync::Arc::clone(&ctx.cache),
+        failures: Vec::new(),
+        faults: ctx.faults.clone(),
+        cancel: ctx.cancel.clone(),
+        span: ctx.span,
+        trace: Vec::new(),
+        pending_decision: ctx.pending_decision.clone(),
+    }
 }
 
-/// Move a finished graph run's value state into the live context (the
-/// channels were already appended during assembly; the cache `Arc` is the
-/// same one the run shared).
-fn adopt_value_state(dst: &mut FlowContext, src: FlowContext) {
-    for port in Port::ALL {
-        ports::copy_port(dst, &src, port);
-    }
-    dst.pending_decision = src.pending_decision;
+/// Move a finished graph run's value state into the live context. The
+/// run's own channels are empty (assembly already appended every node's
+/// deltas to the live context's), and its plumbing is the live context's,
+/// shared, so the live context keeps only its channels.
+fn adopt_value_state(dst: &mut FlowContext, mut src: FlowContext) {
+    src.trace = std::mem::take(&mut dst.trace);
+    src.designs = std::mem::take(&mut dst.designs);
+    src.failures = std::mem::take(&mut dst.failures);
+    *dst = src;
 }
 
 /// The estimated execution time a module's DSE settled on, if it ran one.
@@ -1035,6 +1051,7 @@ mod tests {
     use crate::strategy::PsaStrategy;
     use crate::task::{Task, TaskClass, TaskInfo};
     use psa_artisan::Ast;
+    use std::sync::Arc;
 
     struct Emit(&'static str, u64);
     impl Task for Emit {
@@ -1688,6 +1705,81 @@ mod tests {
         let sources: Vec<&str> = c.designs.iter().map(|d| d.source.as_str()).collect();
         assert_eq!(sources, ["// right", "// after"]);
         assert_eq!(plan.fired(), 2);
+    }
+
+    /// The ASTs runs saw, by task name.
+    type Seen = Arc<Mutex<Vec<(&'static str, Arc<Ast>)>>>;
+
+    /// Records the AST each run sees, under a name.
+    struct SeeAst(&'static str, Seen);
+    impl Task for SeeAst {
+        fn info(&self) -> TaskInfo {
+            TaskInfo::new(self.0, TaskClass::Analysis, false)
+        }
+        fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
+            sched::lock(&self.1).push((self.0, Arc::clone(&ctx.ast)));
+            Ok(())
+        }
+    }
+
+    /// Marks the program's first loop with a pragma.
+    struct MarkLoop;
+    impl Task for MarkLoop {
+        fn info(&self) -> TaskInfo {
+            TaskInfo::new("mark-loop", TaskClass::Transform, false)
+        }
+        fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
+            let stmt = psa_artisan::query::loops(&ctx.ast.module, |_| true)[0].stmt_id;
+            psa_artisan::edit::add_pragma(ctx.module_mut(), stmt, "marked")?;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn contexts_share_the_ast_until_a_node_rewrites_it() {
+        let seen: Seen = Arc::default();
+        let see = |name| SeeAst(name, Arc::clone(&seen));
+        let flow = Flow::new("f").then(see("trunk")).branch(
+            "B",
+            All,
+            vec![
+                ("read".into(), Flow::new("read").then(see("read"))),
+                (
+                    "write".into(),
+                    Flow::new("write").then(MarkLoop).then(see("write")),
+                ),
+                ("read-too".into(), Flow::new("rt").then(see("read-too"))),
+            ],
+        );
+        for engine in [
+            FlowEngine::sequential(),
+            FlowEngine::parallel().with_workers(2),
+        ] {
+            sched::lock(&seen).clear();
+            let mut c = FlowContext::new(
+                Ast::from_source(
+                    "int main() { for (int i = 0; i < 4; i++) { } return 0; }",
+                    "t",
+                )
+                .unwrap(),
+                PsaParams::default(),
+            );
+            let entry = Arc::clone(&c.ast);
+            let before = entry.export();
+            engine.execute(&flow, &mut c).unwrap();
+
+            let seen = sched::lock(&seen);
+            let ast = |name| &seen.iter().find(|(n, _)| *n == name).unwrap().1;
+            for name in ["trunk", "read", "read-too"] {
+                assert!(Arc::ptr_eq(ast(name), &entry), "{name} on {engine:?}");
+                assert_eq!(ast(name).export(), before, "{name} on {engine:?}");
+            }
+            assert!(!Arc::ptr_eq(ast("write"), &entry), "{engine:?}");
+            assert!(ast("write").export().contains("#pragma marked"));
+            // The caller's AST is the one it passed in, unchanged.
+            assert!(Arc::ptr_eq(&c.ast, &entry), "{engine:?}");
+            assert_eq!(c.ast.export(), before, "{engine:?}");
+        }
     }
 
     #[test]

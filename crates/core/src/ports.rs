@@ -28,7 +28,7 @@ use crate::context::FlowContext;
 /// through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Port {
-    /// The working AST (`FlowContext::ast`).
+    /// The working AST (`FlowContext::ast`, shared and copied on write).
     Ast,
     /// The extracted kernel's name (`FlowContext::kernel`).
     Kernel,
@@ -79,7 +79,7 @@ impl Port {
     /// the types themselves are enforced by the `FlowContext` field types).
     pub fn ty(self) -> &'static str {
         match self {
-            Port::Ast => "psa_artisan::Ast",
+            Port::Ast => "Arc<psa_artisan::Ast>",
             Port::Kernel => "Option<String>",
             Port::Hotspot => "Option<HotspotReport>",
             Port::Analysis => "Option<KernelAnalysis>",
@@ -244,7 +244,9 @@ impl Default for ModulePorts {
 }
 
 /// Copy one port's value slot from `src` into `dst` (the scheduler's join
-/// overlay step).
+/// overlay step). The AST port is an `Arc`, so copying it costs one
+/// refcount bump: `dst` shares `src`'s AST until one of them rewrites it
+/// through [`FlowContext::module_mut`].
 pub(crate) fn copy_port(dst: &mut FlowContext, src: &FlowContext, port: Port) {
     match port {
         Port::Ast => dst.ast = src.ast.clone(),

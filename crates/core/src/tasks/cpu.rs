@@ -41,7 +41,7 @@ impl Task for MultiThreadParallelLoops {
             .first()
             .ok_or_else(|| FlowError::transform("outer loop not found"))?
             .stmt_id;
-        edit::add_pragma(&mut ctx.ast.module, stmt, "omp parallel for")?;
+        edit::add_pragma(ctx.module_mut(), stmt, "omp parallel for")?;
         ctx.log("annotated kernel outer loop with `#pragma omp parallel for`".to_string());
         Ok(())
     }

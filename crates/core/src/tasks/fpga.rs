@@ -32,17 +32,21 @@ impl Task for UnrollFixedLoops {
         let candidates = query::loops(&ctx.ast.module, |l| {
             l.function == kernel && l.depth > 0 && l.static_trip_count.is_some_and(|t| t <= limit)
         });
-        let mut total = 0usize;
+        // Idempotent: skip loops already carrying an unroll pragma. The
+        // loops are picked on the shared AST, so it is copied only when
+        // some loop still needs the pragma.
+        let mut unmarked = Vec::new();
         for c in &candidates {
-            // Idempotent: skip loops already carrying an unroll pragma.
             let stmt = query::find_stmt(&ctx.ast.module, c.stmt_id)
                 .ok_or_else(|| FlowError::transform("loop vanished"))?;
-            if stmt.pragmas.iter().any(|p| p.head() == "unroll") {
-                continue;
+            if !stmt.pragmas.iter().any(|p| p.head() == "unroll") {
+                unmarked.push(c.stmt_id);
             }
-            edit::add_pragma(&mut ctx.ast.module, c.stmt_id, "unroll")?;
-            total += 1;
         }
+        for &stmt in &unmarked {
+            edit::add_pragma(ctx.module_mut(), stmt, "unroll")?;
+        }
+        let total = unmarked.len();
         if total > 0 {
             ctx.log(format!(
                 "marked {total} fixed-bound inner loop(s) with #pragma unroll"
@@ -79,7 +83,7 @@ impl Task for UnrollFixedLoopsFlatten {
             let Some(target) = candidates.first() else {
                 break;
             };
-            let trips = fully_unroll(&mut ctx.ast.module, target.stmt_id)?;
+            let trips = fully_unroll(ctx.module_mut(), target.stmt_id)?;
             total += trips;
         }
         if total > 0 {
@@ -136,7 +140,7 @@ impl Task for UnrollUntilOvermapDse {
         let w = kernel_work(ctx)?;
         let model = FpgaModel::new(spec_for(self.device)?);
         let cache = std::sync::Arc::clone(&ctx.cache);
-        let dse = unroll_until_overmap(&mut ctx.ast.module, &kernel, &model, &w, &cache)?;
+        let dse = unroll_until_overmap(ctx.module_mut(), &kernel, &model, &w, &cache)?;
         if dse.factor == 0 {
             let reason = format!(
                 "design overmaps {} at unroll 1 (LUT {:.0}%)",

@@ -28,7 +28,10 @@ impl Task for EmploySpMathFns {
             return Ok(());
         }
         let kernel = ctx.kernel_name()?.to_string();
-        let n = precision::employ_sp_math(&mut ctx.ast.module, &kernel)?;
+        let n = match precision::sp_math_sites(&ctx.ast.module, &kernel)? {
+            0 => 0,
+            _ => precision::employ_sp_math(ctx.module_mut(), &kernel)?,
+        };
         ctx.log(format!("SP math fns: rewrote {n} call(s)"));
         Ok(())
     }
@@ -48,7 +51,10 @@ impl Task for EmploySpNumericLiterals {
             return Ok(());
         }
         let kernel = ctx.kernel_name()?.to_string();
-        let n = precision::employ_sp_literals(&mut ctx.ast.module, &kernel)?;
+        let n = match precision::sp_literal_sites(&ctx.ast.module, &kernel)? {
+            0 => 0,
+            _ => precision::employ_sp_literals(ctx.module_mut(), &kernel)?,
+        };
         ctx.log(format!("SP literals: rewrote {n} site(s)"));
         Ok(())
     }
@@ -64,7 +70,10 @@ impl Task for EmploySpecialisedMathFns {
 
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         let kernel = ctx.kernel_name()?.to_string();
-        let n = mathopt::employ_specialised_math(&mut ctx.ast.module, &kernel)?;
+        let n = match mathopt::specialised_math_sites(&ctx.ast.module, &kernel)? {
+            0 => 0,
+            _ => mathopt::employ_specialised_math(ctx.module_mut(), &kernel)?,
+        };
         ctx.log(format!("specialised math: rewrote {n} pattern(s)"));
         Ok(())
     }
@@ -420,5 +429,42 @@ mod tests {
         let mut ctx = prepared();
         EmploySpecialisedMathFns.run(&mut ctx).unwrap();
         assert!(ctx.ast.export().contains("rsqrt("), "{}", ctx.ast.export());
+    }
+
+    #[test]
+    fn rewrites_with_nothing_to_change_leave_the_ast_shared() {
+        let mut ctx = FlowContext::new(
+            Ast::from_source(
+                "void knl(float* a, int n) { a[0] = sqrtf(a[1]) * 2.0f; }",
+                "t",
+            )
+            .unwrap(),
+            PsaParams::default(),
+        );
+        ctx.kernel = Some("knl".into());
+        let shared = std::sync::Arc::clone(&ctx.ast);
+        EmploySpMathFns.run(&mut ctx).unwrap();
+        EmploySpNumericLiterals.run(&mut ctx).unwrap();
+        EmploySpecialisedMathFns.run(&mut ctx).unwrap();
+        assert!(
+            std::sync::Arc::ptr_eq(&shared, &ctx.ast),
+            "no-op rewrites copied"
+        );
+        assert_eq!(
+            ctx.trace_lines(),
+            [
+                "SP math fns: rewrote 0 call(s)",
+                "SP literals: rewrote 0 site(s)",
+                "specialised math: rewrote 0 pattern(s)"
+            ]
+        );
+
+        // A real rewrite copies, and the other holder keeps the original.
+        let mut ctx = prepared();
+        let shared = std::sync::Arc::clone(&ctx.ast);
+        EmploySpMathFns.run(&mut ctx).unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&shared, &ctx.ast));
+        assert!(ctx.ast.export().contains("sqrtf("));
+        assert!(!shared.export().contains("sqrtf("));
     }
 }

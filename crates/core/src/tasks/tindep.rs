@@ -6,7 +6,7 @@ use crate::flow::FlowError;
 use crate::ports::{ModulePorts, Port};
 use crate::task::{Task, TaskClass, TaskInfo};
 use psa_artisan::query;
-use psa_artisan::transforms::reduction::remove_array_accumulation;
+use psa_artisan::transforms::reduction::{accumulation_sites, remove_array_accumulation};
 
 /// "Identify Hotspot Loops" (A ⚡): instrument candidate loops with timers,
 /// execute, rank.
@@ -73,7 +73,7 @@ impl Task for HotspotLoopExtraction {
             .ok_or_else(|| FlowError::precondition("no hotspot to extract"))?;
         let stmt_id = hottest.stmt_id;
         let extracted = psa_artisan::transforms::extract::extract_kernel(
-            &mut ctx.ast.module,
+            ctx.module_mut(),
             stmt_id,
             &self.kernel_name,
         )?;
@@ -292,9 +292,22 @@ impl Task for RemoveArrayAccumulation {
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         let kernel = ctx.kernel_name()?.to_string();
         let loops = query::loops(&ctx.ast.module, |l| l.function == kernel);
+        // Rewrite (and so copy a shared AST) only once some loop has an
+        // eligible accumulation. Up to the first such loop the rewrites
+        // would all be no-ops, so checking the unchanged module finds the
+        // same sites and the same errors they would.
+        let mut rewrite = false;
+        for m in &loops {
+            if accumulation_sites(&ctx.ast.module, m.stmt_id)? > 0 {
+                rewrite = true;
+                break;
+            }
+        }
         let mut total = 0;
-        for m in loops {
-            total += remove_array_accumulation(&mut ctx.ast.module, m.stmt_id)?;
+        if rewrite {
+            for m in &loops {
+                total += remove_array_accumulation(ctx.module_mut(), m.stmt_id)?;
+            }
         }
         if total > 0 {
             ctx.log(format!(

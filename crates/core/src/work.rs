@@ -159,7 +159,7 @@ mod tests {
     fn sp_conversion_halves_bytes_and_clears_fp64() {
         let mut c = ctx();
         let before = kernel_work(&c).unwrap();
-        psa_artisan::transforms::precision::employ_sp_literals(&mut c.ast.module, "knl").unwrap();
+        psa_artisan::transforms::precision::employ_sp_literals(c.module_mut(), "knl").unwrap();
         let after = kernel_work(&c).unwrap();
         assert!(before.fp64 && !after.fp64);
         assert!((before.bytes_mem / after.bytes_mem - 2.0).abs() < 1e-9);

@@ -33,7 +33,7 @@ impl Task for WatermarkKernel {
         let loops = query::loops(&ctx.ast.module, |l| l.function == kernel && l.is_outermost);
         if let Some(outer) = loops.first() {
             edit::add_pragma(
-                &mut ctx.ast.module,
+                ctx.module_mut(),
                 outer.stmt_id,
                 "psa generated-by custom-flow",
             )?;
