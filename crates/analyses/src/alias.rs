@@ -10,7 +10,7 @@
 //! for observed executions: two arguments may alias iff they resolve into
 //! the same allocation.
 
-use psa_interp::Profile;
+use psa_interp::{Pointer, Profile};
 use serde::{Deserialize, Serialize};
 
 /// A pair of kernel pointer parameters observed sharing an allocation.
@@ -35,8 +35,14 @@ pub struct AliasReport {
 
 /// Analyse the recorded kernel calls of a profiled run.
 pub fn analyze_from_run(profile: &Profile) -> AliasReport {
+    analyze_calls(&profile.kernel_arg_ptrs)
+}
+
+/// Analyse the pointer arguments `(parameter name, pointer)` of each
+/// observed kernel call, in call order.
+pub fn analyze_calls(calls: &[Vec<(String, Pointer)>]) -> AliasReport {
     let mut pairs = Vec::new();
-    for (call_index, args) in profile.kernel_arg_ptrs.iter().enumerate() {
+    for (call_index, args) in calls.iter().enumerate() {
         for i in 0..args.len() {
             for j in (i + 1)..args.len() {
                 let (ref name_a, ptr_a) = args[i];
@@ -62,7 +68,7 @@ pub fn analyze_from_run(profile: &Profile) -> AliasReport {
     AliasReport {
         may_alias: !pairs.is_empty(),
         pairs,
-        calls_observed: profile.kernel_arg_ptrs.len(),
+        calls_observed: calls.len(),
     }
 }
 

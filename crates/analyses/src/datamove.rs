@@ -7,6 +7,7 @@
 //! direct measurement. The PSA strategy combines these bytes with device
 //! transfer bandwidths to estimate `T_data_transfer`.
 
+use psa_interp::memory::AccessRange;
 use psa_interp::{Memory, Profile};
 use serde::{Deserialize, Serialize};
 
@@ -45,18 +46,30 @@ impl DataMovementReport {
 
 /// Compute the report from a watched run's profile and memory arena.
 pub fn analyze_from_run(profile: &Profile, memory: &Memory) -> DataMovementReport {
+    let touched = memory
+        .kernel_touched()
+        .into_iter()
+        .map(|(id, buf)| (buf.label.as_str(), memory.elem_bytes(id), buf.kernel_access));
+    from_accesses(touched, profile.kernel_calls)
+}
+
+/// Compute the report from the kernel's access range in each touched
+/// buffer — `(label, element bytes, range)` in buffer order — and the
+/// number of kernel invocations.
+pub fn from_accesses<'a>(
+    touched: impl IntoIterator<Item = (&'a str, u64, AccessRange)>,
+    calls: u64,
+) -> DataMovementReport {
     let mut buffers = Vec::new();
     let mut total_in = 0u64;
     let mut total_out = 0u64;
-    for (id, buf) in memory.kernel_touched() {
-        let elem = memory.elem_bytes(id);
-        let acc = buf.kernel_access;
+    for (label, elem, acc) in touched {
         let bytes_in = acc.read_extent() * elem;
         let bytes_out = acc.write_extent() * elem;
         total_in += bytes_in;
         total_out += bytes_out;
         buffers.push(BufferTraffic {
-            label: buf.label.clone(),
+            label: label.to_string(),
             bytes_in,
             bytes_out,
             reads: acc.reads,
@@ -68,7 +81,7 @@ pub fn analyze_from_run(profile: &Profile, memory: &Memory) -> DataMovementRepor
         buffers,
         total_bytes_in: total_in,
         total_bytes_out: total_out,
-        calls: profile.kernel_calls,
+        calls,
     }
 }
 

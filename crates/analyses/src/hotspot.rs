@@ -4,16 +4,31 @@
 //! executes the instrumented code to dynamically identify time-consuming
 //! loops as candidates for acceleration." (§II-B)
 //!
-//! Faithful to that description, the detector clones the module, wraps every
-//! candidate loop in `__psa_timer_start/stop` probes via the instrumentation
-//! layer, executes the clone, and ranks loops by measured (virtual) time.
+//! The paper instruments because Artisan measures native code. Here the
+//! interpreter's virtual clock already records inclusive cycles for every
+//! loop on every run ([`psa_interp::Profile::loop_stats`]), so the detector
+//! executes the program once, uninstrumented, and ranks the candidate loops
+//! by those statistics. Timer probes would charge no cycles, so the ranking
+//! and the shares are the ones timers would measure: the mechanism departs
+//! from the paper, its results do not.
+//!
+//! The same run watches every candidate loop ([`psa_interp::loopwatch`]).
+//! The report keeps what the run observed inside the hottest loop — a
+//! [`HotLoopWindow`] — so the dynamic analyses of the kernel that
+//! extracting that loop produces follow without running the program again
+//! ([`crate::analyze_outlined`]).
 
+use crate::alias::{self, AliasReport};
+use crate::datamove::{self, DataMovementReport};
 use crate::AnalysisError;
+use psa_artisan::query::{self, LoopMatch};
+use psa_artisan::sym::function_symbols;
 use psa_artisan::transforms::extract::{extract_kernel, ExtractedKernel};
-use psa_artisan::{edit, query};
-use psa_interp::RunConfig;
+use psa_interp::{LoopStats, LoopWatch, LoopWindow, ProfiledRun, RunConfig, Value, WatchedLoop};
+use psa_minicpp::ast::StmtKind;
 use psa_minicpp::{Module, NodeId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One timed candidate loop.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,12 +45,41 @@ pub struct HotspotCandidate {
     pub share: f64,
 }
 
+/// What the detection run observed inside the hottest loop: the dynamic
+/// facts a function watch of the kernel that outlines the loop would
+/// record.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct HotLoopWindow {
+    /// Virtual cycles inside the loop.
+    pub cycles: u64,
+    /// FLOPs inside the loop.
+    pub flops: u64,
+    /// Bytes loaded inside the loop.
+    pub bytes_loaded: u64,
+    /// Bytes stored inside the loop.
+    pub bytes_stored: u64,
+    /// The alias verdict over the loop's free pointer variables at each
+    /// entry (the outlined kernel's pointer arguments).
+    pub alias: AliasReport,
+    /// The loop's data movement; `calls` counts its entries.
+    pub data: DataMovementReport,
+    /// Statistics of the loop and the loops nested in it, in source order.
+    pub loops: Vec<LoopStats>,
+}
+
 /// The hotspot detection report: candidates sorted hottest-first.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HotspotReport {
     pub candidates: Vec<HotspotCandidate>,
-    /// Total program cycles of the instrumented run.
+    /// Total program cycles of the detection run.
     pub total_cycles: u64,
+    /// What the run observed inside the hottest candidate. `None` without
+    /// candidates, or when the observation cannot stand in for a watch of
+    /// the outlined kernel: the loop was entered while another observed
+    /// loop (or itself) was running, or a pointer it would pass to the
+    /// kernel was out of scope or not a pointer at entry. Shared, so flow
+    /// contexts that fork copy a pointer, not the reports.
+    pub hottest_window: Option<Arc<HotLoopWindow>>,
 }
 
 impl HotspotReport {
@@ -45,8 +89,88 @@ impl HotspotReport {
     }
 }
 
-/// Instrument every outermost loop outside already-extracted kernels with
-/// timers, execute, and rank.
+impl HotLoopWindow {
+    /// Condense the detection run's record of candidate `hot` (watched
+    /// with `pointers`). Returns `None` when the record differs from what
+    /// watching the outlined kernel would observe: the loop was entered
+    /// while a watched window was open (through recursion, or from inside
+    /// another candidate), so some entries went unrecorded and the kernel's
+    /// own call charges would differ; or a pointer variable was out of
+    /// scope or held no pointer at entry, where passing it to the kernel
+    /// would fail.
+    fn observe(
+        module: &Module,
+        hot: &LoopMatch,
+        pointers: usize,
+        window: &LoopWindow,
+        run: &ProfiledRun,
+    ) -> Option<Arc<HotLoopWindow>> {
+        if window.nested > 0 {
+            return None;
+        }
+        let calls = window
+            .pointers
+            .iter()
+            .map(|values| {
+                let ptrs: Vec<_> = values
+                    .iter()
+                    .filter_map(|(name, v)| match v {
+                        Value::Ptr(p) => Some((name.clone(), *p)),
+                        _ => None,
+                    })
+                    .collect();
+                (ptrs.len() == pointers).then_some(ptrs)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let memory = &run.memory;
+        let touched = window.access.iter().map(|(&id, &range)| {
+            (
+                memory.buffer(id).label.as_str(),
+                memory.elem_bytes(id),
+                range,
+            )
+        });
+        let loops = query::loops(module, |l| l.id == hot.id || l.ancestors.contains(&hot.id))
+            .iter()
+            .map(|l| {
+                run.profile
+                    .loop_stats
+                    .get(&l.id)
+                    .copied()
+                    .unwrap_or_default()
+            })
+            .collect();
+        Some(Arc::new(HotLoopWindow {
+            cycles: window.cycles,
+            flops: window.flops,
+            bytes_loaded: window.bytes_loaded,
+            bytes_stored: window.bytes_stored,
+            alias: alias::analyze_calls(&calls),
+            data: datamove::from_accesses(touched, window.windows),
+            loops,
+        }))
+    }
+}
+
+/// Free variables of candidate `c` that the outlined kernel would take as
+/// pointer parameters, in parameter order.
+fn pointer_parameters(module: &Module, c: &LoopMatch) -> Vec<String> {
+    let Some(func) = module.function(&c.function) else {
+        return Vec::new();
+    };
+    let Some(StmtKind::For(l)) = query::find_stmt(module, c.stmt_id).map(|s| &s.kind) else {
+        return Vec::new();
+    };
+    let symbols = function_symbols(module, func);
+    query::free_variables(module, l)
+        .into_iter()
+        .filter(|name| symbols.get(name).is_some_and(|ty| ty.is_pointer()))
+        .collect()
+}
+
+/// Execute the program once with every outermost loop outside
+/// already-extracted kernels watched, and rank those loops by their
+/// inclusive virtual cycles.
 ///
 /// Only *outermost* loops are candidates: the paper extracts a whole hotspot
 /// region, and an inner loop's time is already included in its parent's.
@@ -70,26 +194,28 @@ pub fn detect_hotspots(module: &Module) -> Result<HotspotReport, AnalysisError> 
         return Ok(HotspotReport {
             candidates: Vec::new(),
             total_cycles: 0,
+            hottest_window: None,
         });
     }
 
-    // Clone + instrument: timer id = index into `candidates`.
-    let mut instrumented = module.clone();
-    for (i, c) in candidates.iter().enumerate() {
-        edit::wrap_with_timer(&mut instrumented, c.stmt_id, i as i64)
-            .map_err(|e| AnalysisError::Structure(e.to_string()))?;
-    }
+    let watch = LoopWatch {
+        loops: candidates
+            .iter()
+            .map(|c| WatchedLoop {
+                id: c.id,
+                pointers: pointer_parameters(module, c),
+            })
+            .collect(),
+    };
+    let run = psa_interp::run_main_watching_loops(module, RunConfig::default(), &watch)?;
+    let total_cycles = run.profile.total_cycles;
 
-    let run = psa_interp::run_main_profiled(&instrumented, RunConfig::default())?;
-    let profile = &run.profile;
-    let total_cycles = profile.total_cycles;
-
-    let mut out: Vec<HotspotCandidate> = candidates
+    let mut ranked: Vec<(usize, HotspotCandidate)> = candidates
         .iter()
         .enumerate()
         .map(|(i, c)| {
-            let cycles = profile.timers.get(&(i as i64)).map_or(0, |t| t.cycles);
-            HotspotCandidate {
+            let cycles = run.profile.loop_stats.get(&c.id).map_or(0, |s| s.cycles);
+            let candidate = HotspotCandidate {
                 stmt_id: c.stmt_id,
                 function: c.function.clone(),
                 var: c.var.clone(),
@@ -99,23 +225,33 @@ pub fn detect_hotspots(module: &Module) -> Result<HotspotReport, AnalysisError> 
                 } else {
                     cycles as f64 / total_cycles as f64
                 },
-            }
+            };
+            (i, candidate)
         })
         .collect();
-    out.sort_by(|a, b| b.cycles.cmp(&a.cycles).then(a.stmt_id.cmp(&b.stmt_id)));
+    ranked.sort_by(|(_, a), (_, b)| b.cycles.cmp(&a.cycles).then(a.stmt_id.cmp(&b.stmt_id)));
+    let hot = ranked[0].0;
+    let hottest_window = HotLoopWindow::observe(
+        module,
+        &candidates[hot],
+        watch.loops[hot].pointers.len(),
+        &run.profile.loop_windows[hot],
+        &run,
+    );
     Ok(HotspotReport {
-        candidates: out,
+        candidates: ranked.into_iter().map(|(_, c)| c).collect(),
         total_cycles,
+        hottest_window,
     })
 }
 
 /// Cached variant of [`detect_hotspots`], addressed by the module's
-/// structural fingerprint. The instrumented clone and its execution are
-/// skipped entirely on a hit; only the ranked report is stored.
+/// structural fingerprint. The detection run is skipped entirely on a hit;
+/// only the ranked report (with the hottest loop's window) is stored.
 pub fn detect_hotspots_cached(
     module: &Module,
     cache: &psa_evalcache::EvalCache,
-) -> Result<std::sync::Arc<HotspotReport>, AnalysisError> {
+) -> Result<Arc<HotspotReport>, AnalysisError> {
     let key = psa_evalcache::KeyBuilder::new("analyses/hotspots")
         .u64(psa_minicpp::module_fingerprint(module))
         .finish();

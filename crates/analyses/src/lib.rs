@@ -17,7 +17,10 @@
 //!
 //! [`analyze_kernel`] bundles all kernel-scoped analyses into one
 //! [`KernelAnalysis`] record — the evidence the PSA strategy at branch
-//! point A consumes (paper Fig. 3).
+//! point A consumes (paper Fig. 3). For a kernel just extracted from the
+//! hottest loop, [`analyze_outlined`] builds the same record from what the
+//! hotspot detection run observed inside that loop, so a flow executes the
+//! program once, not twice.
 
 pub mod alias;
 pub mod datamove;
@@ -26,7 +29,8 @@ pub mod hotspot;
 pub mod intensity;
 pub mod tripcount;
 
-use psa_evalcache::{EvalCache, KeyBuilder};
+use hotspot::HotLoopWindow;
+use psa_evalcache::{CacheKey, EvalCache, KeyBuilder};
 use psa_interp::{Memory, Profile, ProfiledRun, RunConfig};
 use psa_minicpp::Module;
 use serde::{Deserialize, Serialize};
@@ -112,7 +116,7 @@ pub fn analyze_kernel(module: &Module, kernel: &str) -> Result<KernelAnalysis, A
     if module.function(kernel).is_none() {
         return Err(AnalysisError::NotFound(format!("function `{kernel}`")));
     }
-    // One instrumented run serves every dynamic analysis.
+    // One watched run serves every dynamic analysis.
     let run = dynamic_run(module, kernel)?;
     aggregate(module, kernel, &run.profile, &run.memory)
 }
@@ -134,14 +138,67 @@ pub fn analyze_kernel_cached(
     if module.function(kernel).is_none() {
         return Err(AnalysisError::NotFound(format!("function `{kernel}`")));
     }
-    let key = KeyBuilder::new("analyses/kernel")
-        .u64(psa_minicpp::module_fingerprint(module))
-        .str(kernel)
-        .finish();
-    cache.try_get_or_compute(key, || {
+    cache.try_get_or_compute(kernel_key(module, kernel), || {
         let run = dynamic_run_cached(module, kernel, cache)?;
         aggregate(module, kernel, &run.profile, &run.memory)
     })
+}
+
+/// Build `kernel`'s record without executing the program: `module` is the
+/// module right after extracting the hottest loop of a hotspot report into
+/// `kernel`, and `window` is what that report's detection run observed
+/// inside the loop. The record is identical to [`analyze_kernel`]'s
+/// (errors included): the window holds exactly what a watch of the
+/// outlined kernel records, and the static analyses read `module`.
+pub fn analyze_outlined(
+    module: &Module,
+    kernel: &str,
+    window: &HotLoopWindow,
+) -> Result<KernelAnalysis, AnalysisError> {
+    if module.function(kernel).is_none() {
+        return Err(AnalysisError::NotFound(format!("function `{kernel}`")));
+    }
+    if window.data.calls == 0 {
+        return Err(never_called(kernel));
+    }
+    assemble(
+        module,
+        kernel,
+        window.alias.clone(),
+        window.data.clone(),
+        tripcount::from_stats(module, kernel, &window.loops),
+        [
+            window.cycles,
+            window.flops,
+            window.bytes_loaded,
+            window.bytes_stored,
+        ],
+    )
+}
+
+/// Cached variant of [`analyze_outlined`], under [`analyze_kernel_cached`]'s
+/// address: the records are identical, so either fills the entry the other
+/// reads.
+pub fn analyze_outlined_cached(
+    module: &Module,
+    kernel: &str,
+    window: &HotLoopWindow,
+    cache: &EvalCache,
+) -> Result<Arc<KernelAnalysis>, AnalysisError> {
+    if module.function(kernel).is_none() {
+        return Err(AnalysisError::NotFound(format!("function `{kernel}`")));
+    }
+    cache.try_get_or_compute(kernel_key(module, kernel), || {
+        analyze_outlined(module, kernel, window)
+    })
+}
+
+/// The cache address of `kernel`'s record in `module`.
+fn kernel_key(module: &Module, kernel: &str) -> CacheKey {
+    KeyBuilder::new("analyses/kernel")
+        .u64(psa_minicpp::module_fingerprint(module))
+        .str(kernel)
+        .finish()
 }
 
 /// Build the aggregated record from a completed watched execution.
@@ -151,9 +208,31 @@ fn aggregate(
     profile: &Profile,
     memory: &Memory,
 ) -> Result<KernelAnalysis, AnalysisError> {
-    let alias = alias::analyze_from_run(profile);
-    let data = datamove::analyze_from_run(profile, memory);
-    let trips = tripcount::analyze_from_run(module, kernel, profile);
+    assemble(
+        module,
+        kernel,
+        alias::analyze_from_run(profile),
+        datamove::analyze_from_run(profile, memory),
+        tripcount::analyze_from_run(module, kernel, profile),
+        [
+            profile.kernel_cycles,
+            profile.kernel_flops,
+            profile.kernel_bytes_loaded,
+            profile.kernel_bytes_stored,
+        ],
+    )
+}
+
+/// Join the dynamic reports and the kernel's cycles, FLOPs, bytes loaded
+/// and bytes stored with the static analyses of `module`.
+fn assemble(
+    module: &Module,
+    kernel: &str,
+    alias: alias::AliasReport,
+    data: datamove::DataMovementReport,
+    trips: tripcount::TripCountReport,
+    [cycles, flops, loaded, stored]: [u64; 4],
+) -> Result<KernelAnalysis, AnalysisError> {
     let intensity = intensity::analyze(module, kernel)?;
     let deps = deps::analyze(module, kernel)?;
     Ok(KernelAnalysis {
@@ -163,11 +242,17 @@ fn aggregate(
         data,
         deps,
         trips,
-        kernel_cycles: profile.kernel_cycles,
-        kernel_flops: profile.kernel_flops,
-        kernel_bytes_loaded: profile.kernel_bytes_loaded,
-        kernel_bytes_stored: profile.kernel_bytes_stored,
+        kernel_cycles: cycles,
+        kernel_flops: flops,
+        kernel_bytes_loaded: loaded,
+        kernel_bytes_stored: stored,
     })
+}
+
+fn never_called(kernel: &str) -> AnalysisError {
+    AnalysisError::Structure(format!(
+        "`main` never called kernel `{kernel}`; dynamic analyses have nothing to observe"
+    ))
 }
 
 /// The artefacts of one watched execution, shared by the dynamic analyses.
@@ -185,9 +270,7 @@ pub fn dynamic_run(module: &Module, kernel: &str) -> Result<DynamicRun, Analysis
     let run = psa_interp::run_main_profiled(module, config)?;
     let (profile, memory) = (run.profile, run.memory);
     if profile.kernel_calls == 0 {
-        return Err(AnalysisError::Structure(format!(
-            "`main` never called kernel `{kernel}`; dynamic analyses have nothing to observe"
-        )));
+        return Err(never_called(kernel));
     }
     Ok(DynamicRun { profile, memory })
 }
@@ -206,9 +289,7 @@ pub fn dynamic_run_cached(
     };
     let run = psa_interp::run_profiled_cached(module, config, cache)?;
     if run.profile.kernel_calls == 0 {
-        return Err(AnalysisError::Structure(format!(
-            "`main` never called kernel `{kernel}`; dynamic analyses have nothing to observe"
-        )));
+        return Err(never_called(kernel));
     }
     Ok(run)
 }
@@ -277,6 +358,30 @@ mod tests {
         let a2 = analyze_kernel_cached(&m2, "knl", &cache).unwrap();
         assert_ne!(a1.kernel_cycles, a2.kernel_cycles);
         assert_eq!(cache.stats().hits, 0, "distinct content, distinct keys");
+    }
+
+    #[test]
+    fn outlined_record_fills_the_kernel_entry_without_a_run() {
+        use psa_artisan::transforms::extract::extract_kernel;
+        let src =
+            "int main() { int n = 64; double* a = alloc_double(n); double* b = alloc_double(n);\
+                   fill_random(a, n, 11);\
+                   for (int i = 0; i < n; i++) { b[i] = sqrt(a[i]) * 2.0; }\
+                   return 0; }";
+        let mut m = parse_module(src, "t").unwrap();
+        let report = hotspot::detect_hotspots(&m).unwrap();
+        extract_kernel(&mut m, report.hottest().unwrap().stmt_id, "knl").unwrap();
+        let window = report.hottest_window.as_ref().expect("hot loop observed");
+        let cache = EvalCache::new();
+        let derived = analyze_outlined_cached(&m, "knl", window, &cache).unwrap();
+        let warm = cache.stats();
+        let record = analyze_kernel_cached(&m, "knl", &cache).unwrap();
+        assert!(Arc::ptr_eq(&derived, &record), "one entry serves both");
+        assert_eq!(cache.stats().since(&warm).misses, 0, "no profiled run");
+        assert_eq!(
+            format!("{:?}", *record),
+            format!("{:?}", analyze_kernel(&m, "knl").unwrap())
+        );
     }
 
     #[test]

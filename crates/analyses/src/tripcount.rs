@@ -7,7 +7,7 @@
 //! = outer trips, FPGA pipeline fill = inner trips).
 
 use psa_artisan::query;
-use psa_interp::Profile;
+use psa_interp::{LoopStats, Profile};
 use psa_minicpp::{Module, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -53,10 +53,29 @@ impl TripCountReport {
 
 /// Join static loop structure with the profiled run's per-loop statistics.
 pub fn analyze_from_run(module: &Module, kernel: &str, profile: &Profile) -> TripCountReport {
+    report(module, kernel, |_, m| {
+        profile.loop_stats.get(&m.id).copied().unwrap_or_default()
+    })
+}
+
+/// Join static loop structure with observed statistics given per kernel
+/// loop in source order (a loop missing from `stats` was never entered).
+pub fn from_stats(module: &Module, kernel: &str, stats: &[LoopStats]) -> TripCountReport {
+    report(module, kernel, |i, _| {
+        stats.get(i).copied().unwrap_or_default()
+    })
+}
+
+fn report(
+    module: &Module,
+    kernel: &str,
+    stats_of: impl Fn(usize, &query::LoopMatch) -> LoopStats,
+) -> TripCountReport {
     let loops = query::loops(module, |l| l.function == kernel)
         .into_iter()
-        .map(|m| {
-            let stats = profile.loop_stats.get(&m.id).copied().unwrap_or_default();
+        .enumerate()
+        .map(|(i, m)| {
+            let stats = stats_of(i, &m);
             LoopTrips {
                 id: m.id,
                 var: m.var,

@@ -173,22 +173,6 @@ pub fn set_unroll_pragma(
     add_pragma(module, target, format!("unroll {factor}"))
 }
 
-/// Wrap the statement `target` in `__psa_timer_start(id)` /
-/// `__psa_timer_stop(id)` probes — how the hotspot-detection meta-program
-/// instruments candidate loops with timers.
-pub fn wrap_with_timer(
-    module: &mut Module,
-    target: NodeId,
-    timer_id: i64,
-) -> Result<(), EditError> {
-    use psa_minicpp::ast::build;
-    let start = build::expr_stmt(build::call("__psa_timer_start", vec![build::int(timer_id)]));
-    let stop = build::expr_stmt(build::call("__psa_timer_stop", vec![build::int(timer_id)]));
-    insert_stmt(module, target, Position::Before, start)?;
-    insert_stmt(module, target, Position::After, stop)?;
-    Ok(())
-}
-
 /// Replace the statement `target` with the statements produced by `f`.
 /// `f` receives the original statement (by value) and the module's id
 /// counter; every returned statement is re-keyed with fresh ids. This is the
@@ -289,24 +273,6 @@ mod tests {
         let removed = remove_pragmas(&mut m, target, "unroll").unwrap();
         assert_eq!(removed, 1);
         assert!(!print_module(&m).contains("#pragma"));
-    }
-
-    #[test]
-    fn timer_wrapping_is_executable() {
-        use psa_interp::{Interpreter, RunConfig};
-        let mut m = parse_module(
-            "int main() { int s = 0; for (int i = 0; i < 50; i++) { s += i; } return s; }",
-            "t",
-        )
-        .unwrap();
-        let target = first_loop_stmt(&m);
-        wrap_with_timer(&mut m, target, 42).unwrap();
-        let mut interp = Interpreter::new(&m, RunConfig::default());
-        let v = interp.run_main().unwrap();
-        assert_eq!(v, psa_interp::Value::Int(1225));
-        let t = interp.profile().timers[&42];
-        assert_eq!(t.starts, 1);
-        assert!(t.cycles > 0);
     }
 
     #[test]

@@ -227,6 +227,87 @@ pub fn called_functions(block: &Block) -> Vec<String> {
     c.order
 }
 
+/// The free variables of loop `l` in `module`: every name the loop uses
+/// that it does not declare itself and that is not a module global, in
+/// order of first appearance (header, then body). Outlining the loop
+/// passes exactly these as the kernel's parameters, in this order.
+pub fn free_variables(module: &Module, l: &ForLoop) -> Vec<String> {
+    use psa_minicpp::visit::{self, Visit};
+    // Globals stay visible inside an outlined kernel.
+    let globals: HashSet<&str> = module
+        .items
+        .iter()
+        .filter_map(|item| match item {
+            Item::Global(s) => match &s.kind {
+                StmtKind::Decl(d) => Some(d.name.as_str()),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect();
+    // Names declared inside the loop (locals, inner loop vars, own var).
+    let mut declared: HashSet<String> = HashSet::new();
+    if l.declares_var {
+        declared.insert(l.var.clone());
+    }
+    collect_declared(&l.body, &mut declared);
+
+    struct Free<'a> {
+        globals: HashSet<&'a str>,
+        declared: HashSet<String>,
+        seen: HashSet<String>,
+        order: Vec<String>,
+    }
+    impl Visit for Free<'_> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if let ExprKind::Ident(name) = &e.kind {
+                if !self.declared.contains(name)
+                    && !self.globals.contains(name.as_str())
+                    && self.seen.insert(name.clone())
+                {
+                    self.order.push(name.clone());
+                }
+            }
+            visit::walk_expr(self, e);
+        }
+    }
+    let mut free = Free {
+        globals,
+        declared,
+        seen: HashSet::new(),
+        order: Vec::new(),
+    };
+    free.visit_expr(&l.init);
+    free.visit_expr(&l.bound);
+    free.visit_expr(&l.step);
+    free.visit_block(&l.body);
+    free.order
+}
+
+fn collect_declared(block: &Block, out: &mut HashSet<String>) {
+    for stmt in &block.stmts {
+        match &stmt.kind {
+            StmtKind::Decl(d) => {
+                out.insert(d.name.clone());
+            }
+            StmtKind::For(l) => {
+                if l.declares_var {
+                    out.insert(l.var.clone());
+                }
+                collect_declared(&l.body, out);
+            }
+            StmtKind::If { then, els, .. } => {
+                collect_declared(then, out);
+                if let Some(els) = els {
+                    collect_declared(els, out);
+                }
+            }
+            StmtKind::While { body, .. } | StmtKind::Block(body) => collect_declared(body, out),
+            _ => {}
+        }
+    }
+}
+
 /// All identifiers *read* in an expression subtree.
 pub fn idents_read(expr: &Expr, out: &mut HashSet<String>) {
     use psa_minicpp::visit::{self, Visit};

@@ -9,7 +9,6 @@ use crate::sym::function_symbols;
 use crate::{edit, query};
 use psa_minicpp::ast::*;
 use psa_minicpp::Span;
-use std::collections::HashSet;
 
 /// What extraction produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,41 +42,9 @@ pub fn extract_kernel(
         return Err(TransformError::new("extraction target is not a for-loop"));
     };
 
-    // Globals stay visible inside the kernel; they never become parameters.
-    let globals: HashSet<String> = module
-        .items
-        .iter()
-        .filter_map(|item| match item {
-            Item::Global(s) => match &s.kind {
-                StmtKind::Decl(d) => Some(d.name.clone()),
-                _ => None,
-            },
-            _ => None,
-        })
-        .collect();
-
-    // Names declared inside the loop (locals, inner loop vars, own var).
-    let mut declared: HashSet<String> = HashSet::new();
-    if l.declares_var {
-        declared.insert(l.var.clone());
-    }
-    collect_declared(&l.body, &mut declared);
-
-    // Free variables in order of first appearance.
-    let mut order: Vec<String> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    {
-        let mut push = |name: &str| {
-            if !declared.contains(name) && !globals.contains(name) && seen.insert(name.to_string())
-            {
-                order.push(name.to_string());
-            }
-        };
-        visit_idents(&l.init, &mut push);
-        visit_idents(&l.bound, &mut push);
-        visit_idents(&l.step, &mut push);
-        visit_idents_block(&l.body, &mut push);
-    }
+    // Free variables become the kernel's parameters, in order of first
+    // appearance.
+    let order = query::free_variables(module, l);
 
     // Scalar free variables must not be written inside the hotspot — there
     // is no out-parameter mechanism, so refusing keeps extraction sound.
@@ -95,7 +62,7 @@ pub fn extract_kernel(
             )));
         }
     }
-    if symbols.duplicates.iter().any(|d| seen.contains(d)) {
+    if symbols.duplicates.iter().any(|d| order.contains(d)) {
         return Err(TransformError::new(
             "free variables of the hotspot are shadowed elsewhere in the function",
         ));
@@ -150,62 +117,6 @@ pub fn extract_kernel(
         params,
         host,
     })
-}
-
-fn collect_declared(block: &Block, out: &mut HashSet<String>) {
-    for stmt in &block.stmts {
-        match &stmt.kind {
-            StmtKind::Decl(d) => {
-                out.insert(d.name.clone());
-            }
-            StmtKind::For(l) => {
-                if l.declares_var {
-                    out.insert(l.var.clone());
-                }
-                collect_declared(&l.body, out);
-            }
-            StmtKind::If { then, els, .. } => {
-                collect_declared(then, out);
-                if let Some(els) = els {
-                    collect_declared(els, out);
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::Block(body) => collect_declared(body, out),
-            _ => {}
-        }
-    }
-}
-
-fn visit_idents(expr: &Expr, push: &mut impl FnMut(&str)) {
-    use psa_minicpp::visit::{self, Visit};
-    struct V<'a, F: FnMut(&str)> {
-        push: &'a mut F,
-    }
-    impl<F: FnMut(&str)> Visit for V<'_, F> {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Ident(name) = &e.kind {
-                (self.push)(name);
-            }
-            visit::walk_expr(self, e);
-        }
-    }
-    V { push }.visit_expr(expr);
-}
-
-fn visit_idents_block(block: &Block, push: &mut impl FnMut(&str)) {
-    use psa_minicpp::visit::{self, Visit};
-    struct V<'a, F: FnMut(&str)> {
-        push: &'a mut F,
-    }
-    impl<F: FnMut(&str)> Visit for V<'_, F> {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Ident(name) = &e.kind {
-                (self.push)(name);
-            }
-            visit::walk_expr(self, e);
-        }
-    }
-    V { push }.visit_block(block);
 }
 
 #[cfg(test)]

@@ -3,11 +3,13 @@
 //! design-flow task relies on.
 
 use proptest::prelude::*;
+use psa_artisan::edit::{insert_stmt, Position};
 use psa_artisan::query;
 use psa_artisan::transforms::mathopt::employ_specialised_math;
 use psa_artisan::transforms::reduction::remove_array_accumulation;
 use psa_artisan::transforms::unroll::fully_unroll;
 use psa_interp::{Interpreter, RunConfig, Value};
+use psa_minicpp::ast::build;
 use psa_minicpp::{parse_module, print_module, Module};
 
 fn run(m: &Module) -> Value {
@@ -95,7 +97,10 @@ proptest! {
         let mut m = parse_module(&src, "p").unwrap();
         let all = query::loops(&m, |_| true);
         let target = all[probe_at % all.len()].stmt_id;
-        psa_artisan::edit::wrap_with_timer(&mut m, target, 9).unwrap();
+        for pos in [Position::Before, Position::After] {
+            let probe = build::expr_stmt(build::call("sink", vec![build::int(9)]));
+            insert_stmt(&mut m, target, pos, probe).unwrap();
+        }
 
         // Collect every statement/expression id and assert uniqueness.
         use psa_minicpp::visit::{self, Visit};
@@ -118,9 +123,7 @@ proptest! {
         ids.0.dedup();
         prop_assert_eq!(ids.0.len(), before, "duplicate node ids after edit");
 
-        // The instrumented program still runs and the timer fired.
-        let mut interp = Interpreter::new(&m, RunConfig::default());
-        interp.run_main().unwrap();
-        prop_assert!(interp.profile().timers[&9].starts >= 1);
+        // The probed program still runs.
+        prop_assert_eq!(run(&m), Value::Int(0));
     }
 }

@@ -17,8 +17,7 @@ use psa_platform::{arria10, stratix10, FpgaModel, FpgaSpec};
 /// datapath. (The resource model already counts fixed-bound loop bodies as
 /// replicated hardware, so the pragma is the faithful — and LOC-neutral —
 /// way to request it; a source-level flattening transform also exists as
-/// [`psa_artisan::transforms::unroll::fully_unroll`] and is compared in the
-/// `dse_ablation` bench.)
+/// [`psa_artisan::transforms::unroll::fully_unroll`].)
 pub struct UnrollFixedLoops;
 
 impl Task for UnrollFixedLoops {

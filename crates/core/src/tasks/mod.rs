@@ -16,19 +16,24 @@ pub mod tindep;
 use crate::context::FlowContext;
 use crate::flow::FlowError;
 
-/// Run (or reuse) the bundled target-independent analyses over the current
-/// kernel. Dynamic analyses execute the program once; every analysis task
-/// shares that run, and the run itself is memoized in the flow's shared
-/// evaluation cache (keyed by the module's structural fingerprint), so
-/// sibling branch paths and repeated flows over the same program state skip
-/// the instrumented execution entirely.
+/// Make sure the context holds the bundled target-independent analyses of
+/// the current kernel, and the single-thread reference time.
+///
+/// Right after extraction the record is usually there already: hotspot
+/// extraction builds it from what the hotspot run observed inside the hot
+/// loop, so a cold flow executes the program once. Otherwise (after a
+/// rewrite, or when the hotspot run could not stand in for a watch of the
+/// kernel) the kernel runs watched once and every analysis task shares that
+/// run. Records and runs are memoized in the flow's shared evaluation cache
+/// (keyed by the module's structural fingerprint), so sibling branch paths
+/// and repeated flows over the same program state skip the execution
+/// entirely.
 pub fn ensure_analysis(ctx: &mut FlowContext) -> Result<(), FlowError> {
-    if ctx.analysis.is_some() {
-        return Ok(());
+    if ctx.analysis.is_none() {
+        let kernel = ctx.kernel_name()?.to_string();
+        let analysis = psa_analyses::analyze_kernel_cached(&ctx.ast.module, &kernel, &ctx.cache)?;
+        ctx.analysis = Some((*analysis).clone());
     }
-    let kernel = ctx.kernel_name()?.to_string();
-    let analysis = psa_analyses::analyze_kernel_cached(&ctx.ast.module, &kernel, &ctx.cache)?;
-    ctx.analysis = Some((*analysis).clone());
     if ctx.reference_time_s.is_none() {
         ctx.reference_time_s = Some(crate::work::reference_time(ctx)?);
     }

@@ -8,8 +8,14 @@ use crate::task::{Task, TaskClass, TaskInfo};
 use psa_artisan::query;
 use psa_artisan::transforms::reduction::{accumulation_sites, remove_array_accumulation};
 
-/// "Identify Hotspot Loops" (A ⚡): instrument candidate loops with timers,
-/// execute, rank.
+/// "Identify Hotspot Loops" (A ⚡): execute the program once and rank the
+/// candidate loops by their inclusive virtual cycles.
+///
+/// The paper times candidates with inserted probes because Artisan measures
+/// native code; the interpreter records per-loop statistics on every run,
+/// and probes would charge no cycles, so the ranking is the one they would
+/// give. The same run watches the candidates, and the report keeps what it
+/// observed inside the hottest one for [`HotspotLoopExtraction`].
 pub struct IdentifyHotspotLoops;
 
 impl Task for IdentifyHotspotLoops {
@@ -44,7 +50,11 @@ impl Task for IdentifyHotspotLoops {
 }
 
 /// "Hotspot Loop Extraction" (T): outline the hottest loop into a kernel
-/// function.
+/// function. The hotspot run observed the loop, so extraction also fills
+/// the kernel's analysis record from that observation
+/// ([`psa_analyses::analyze_outlined_cached`]) instead of leaving it to a
+/// second execution. A hot loop the run never entered leaves the record
+/// empty, and [`ComputeKernelAnalysis`] reports the failure as before.
 pub struct HotspotLoopExtraction {
     /// Name for the new kernel function.
     pub kernel_name: String,
@@ -56,8 +66,8 @@ impl Task for HotspotLoopExtraction {
     }
 
     fn ports(&self) -> ModulePorts {
-        // Writes `analysis` because outlining invalidates any prior record
-        // (it resets the slot so later readers recompute).
+        // Writes `analysis`: outlining invalidates any prior record, and
+        // the hotspot run's observation of the loop yields the new one.
         ModulePorts::new()
             .reads(&[Port::Ast, Port::Hotspot])
             .writes(&[Port::Ast, Port::Kernel, Port::Analysis])
@@ -72,6 +82,7 @@ impl Task for HotspotLoopExtraction {
             .hottest()
             .ok_or_else(|| FlowError::precondition("no hotspot to extract"))?;
         let stmt_id = hottest.stmt_id;
+        let window = report.hottest_window.clone();
         let extracted = psa_artisan::transforms::extract::extract_kernel(
             ctx.module_mut(),
             stmt_id,
@@ -87,18 +98,30 @@ impl Task for HotspotLoopExtraction {
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
+        ctx.analysis = match window.filter(|w| w.data.calls > 0) {
+            Some(window) => Some(
+                (*psa_analyses::analyze_outlined_cached(
+                    &ctx.ast.module,
+                    &extracted.name,
+                    &window,
+                    &ctx.cache,
+                )?)
+                .clone(),
+            ),
+            None => None,
+        };
         ctx.kernel = Some(extracted.name);
-        ctx.analysis = None;
         Ok(())
     }
 }
 
 /// "Compute Kernel Analysis" (A ⚡): materialise the bundled
 /// target-independent analyses (and the single-thread reference time) for
-/// the extracted kernel. Records no log lines of its own — the evidence
-/// tasks below render the findings — but giving the computation its own
-/// graph node makes those evidence tasks *read-only*, so a [`FlowGraph`]
-/// can fan them out concurrently.
+/// the extracted kernel. Extraction has usually filled the record already
+/// from the hotspot run; otherwise this runs the kernel watched. Records
+/// no log lines of its own — the evidence tasks below render the findings
+/// — but giving the computation its own graph node makes those evidence
+/// tasks *read-only*, so a [`FlowGraph`] can fan them out concurrently.
 ///
 /// [`FlowGraph`]: crate::graph::FlowGraph
 pub struct ComputeKernelAnalysis;
@@ -370,6 +393,25 @@ mod tests {
             .iter()
             .any(|l| l.contains("arithmetic intensity")));
         assert!(ctx.trace_lines().iter().any(|l| l.contains("trip counts")));
+    }
+
+    #[test]
+    fn extraction_fills_the_analysis_without_a_cache() {
+        let ast = Ast::from_source(APP, "t").unwrap();
+        let cache = std::sync::Arc::new(psa_evalcache::EvalCache::disabled());
+        let mut ctx = FlowContext::with_cache(ast, PsaParams::default(), cache);
+        IdentifyHotspotLoops.run(&mut ctx).unwrap();
+        HotspotLoopExtraction {
+            kernel_name: "hotspot_0".into(),
+        }
+        .run(&mut ctx)
+        .unwrap();
+        let derived = format!("{:?}", ctx.analysis.as_ref().expect("filled by extraction"));
+        let watched = psa_analyses::analyze_kernel(&ctx.ast.module, "hotspot_0").unwrap();
+        assert_eq!(derived, format!("{watched:?}"));
+        assert!(ctx.reference_time_s.is_none());
+        ComputeKernelAnalysis.run(&mut ctx).unwrap();
+        assert!(ctx.reference_time_s.unwrap() > 0.0);
     }
 
     #[test]

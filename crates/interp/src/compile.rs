@@ -47,6 +47,7 @@
 use crate::error::RuntimeError;
 use crate::eval::RunConfig;
 use crate::intrinsics::{self, Intrinsic};
+use crate::loopwatch::LoopWatch;
 use crate::ops;
 use crate::peephole;
 use crate::profile::CostModel;
@@ -91,6 +92,13 @@ pub(crate) struct SpanId(pub u32);
 /// Sentinel "no span": marks an absent trailing coercion on the
 /// type-specialised instructions (never resolved through the span table).
 pub(crate) const NO_SPAN: SpanId = SpanId(u32::MAX);
+
+/// Sentinel "not watched" for [`Insn::LoopEnter`].
+pub(crate) const NO_WATCH: u32 = u32::MAX;
+
+/// A watched loop's pointer variables, each with the frame slot it lives
+/// in.
+pub(crate) type PointerSlots = Vec<(String, u16)>;
 
 /// Metadata of one [`Insn::DeferredFor`] loop, boxed to keep the `Insn`
 /// enum at its 64-byte budget (the indirection is paid once per loop
@@ -157,6 +165,9 @@ pub struct Program {
     /// Frame registers the initialiser chunk needs.
     pub(crate) globals_init_regs: usize,
     pub(crate) call_sites: Vec<CallSite>,
+    /// Per watched loop (in [`crate::LoopWatch`] order), the pointer
+    /// variables a window records at entry.
+    pub(crate) loop_watch: Vec<PointerSlots>,
     /// Interned [`Span`] side table; [`SpanId`]s in instructions index it.
     pub(crate) spans: Vec<Span>,
 }
@@ -329,8 +340,9 @@ pub(crate) enum Insn {
     /// Return (`regs[src]` if `has_value`), recording stats for any loops
     /// still open in this frame.
     Ret { src: u16, has_value: bool },
-    /// Open a loop-stats context for loop `id`.
-    LoopEnter { id: NodeId },
+    /// Open a loop-stats context for loop `id`; `watch` indexes
+    /// [`Program::loop_watch`] when the loop is watched, else [`NO_WATCH`].
+    LoopEnter { id: NodeId, watch: u32 },
     /// Close the innermost loop context and record its stats.
     LoopExit,
     /// Int-check `regs[src]`, bind the induction variable. `bound == false`
@@ -719,7 +731,17 @@ impl Program {
     /// supplies the cost model baked into instructions and the
     /// watched-function name baked into functions.
     pub fn compile(module: &Module, config: &RunConfig) -> Program {
-        Program::compile_with(module, config, OptLevel::Full)
+        Program::compile_with(module, config, OptLevel::Full, None)
+    }
+
+    /// [`Program::compile`] with `watch`'s loops watched (see
+    /// [`crate::loopwatch`]).
+    pub fn compile_watching_loops(
+        module: &Module,
+        config: &RunConfig,
+        watch: &LoopWatch,
+    ) -> Program {
+        Program::compile_with(module, config, OptLevel::Full, Some(watch))
     }
 
     /// Compile without any peephole pass: the plain one-instruction-per-
@@ -727,7 +749,7 @@ impl Program {
     /// differential proptests run as the middle semantics between the tree
     /// walker and the optimised fast paths.
     pub fn compile_unfused(module: &Module, config: &RunConfig) -> Program {
-        Program::compile_with(module, config, OptLevel::Unfused)
+        Program::compile_with(module, config, OptLevel::Unfused, None)
     }
 
     /// Compile with superinstruction fusion but *without* type
@@ -735,10 +757,15 @@ impl Program {
     /// an escape hatch and as the third leg of the four-way differential
     /// proptest.
     pub fn compile_unspecialized(module: &Module, config: &RunConfig) -> Program {
-        Program::compile_with(module, config, OptLevel::Unspecialized)
+        Program::compile_with(module, config, OptLevel::Unspecialized, None)
     }
 
-    fn compile_with(module: &Module, config: &RunConfig, level: OptLevel) -> Program {
+    fn compile_with(
+        module: &Module,
+        config: &RunConfig,
+        level: OptLevel,
+        watch: Option<&LoopWatch>,
+    ) -> Program {
         let mut fn_by_name: HashMap<String, u16> = HashMap::new();
         let mut fn_items: Vec<&Function> = Vec::new();
         for item in &module.items {
@@ -767,6 +794,7 @@ impl Program {
 
         let mut call_sites = Vec::new();
         let mut spans = SpanInterner::default();
+        let mut loop_watch = vec![Vec::new(); watch.map_or(0, |w| w.loops.len())];
 
         // The globals-initialiser chunk mirrors `Interpreter::init_globals`:
         // one shared frame, each declaration compiled in order, its value
@@ -787,6 +815,7 @@ impl Program {
             },
             code: Vec::new(),
             loops: Vec::new(),
+            watch: None,
             temp_top: init_first_temp,
             max_regs: init_first_temp,
         };
@@ -835,6 +864,7 @@ impl Program {
                 names: NameResolution::Func(&slots),
                 code: Vec::new(),
                 loops: Vec::new(),
+                watch: watch.map(|w| (w, &mut loop_watch)),
                 temp_top: first_temp,
                 max_regs: first_temp,
             };
@@ -897,6 +927,7 @@ impl Program {
             globals_init,
             globals_init_regs,
             call_sites,
+            loop_watch,
             spans,
         }
     }
@@ -1167,6 +1198,9 @@ struct Compiler<'a> {
     code: Vec<Insn>,
     /// Innermost-last stack of open loops, holding jump indices to patch.
     loops: Vec<OpenLoop>,
+    /// The loop watch, and the pointer slots resolved for each watched
+    /// loop so far.
+    watch: Option<(&'a LoopWatch, &'a mut Vec<PointerSlots>)>,
     /// Next free temporary register (slots live below the initial value).
     temp_top: u16,
     /// Register-file high-water mark.
@@ -1194,6 +1228,33 @@ impl SpanInterner {
 struct OpenLoop {
     breaks: Vec<usize>,
     continues: Vec<usize>,
+}
+
+/// The id of the first identifier expression naming `name` in loop `l`
+/// (header, then body).
+fn first_use(l: &ForLoop, name: &str) -> Option<NodeId> {
+    use psa_minicpp::visit::{walk_expr, Visit};
+    struct Find<'n> {
+        name: &'n str,
+        found: Option<NodeId>,
+    }
+    impl Visit for Find<'_> {
+        fn visit_expr(&mut self, e: &Expr) {
+            if self.found.is_some() {
+                return;
+            }
+            match &e.kind {
+                ExprKind::Ident(n) if n == self.name => self.found = Some(e.id),
+                _ => walk_expr(self, e),
+            }
+        }
+    }
+    let mut find = Find { name, found: None };
+    find.visit_expr(&l.init);
+    find.visit_expr(&l.bound);
+    find.visit_expr(&l.step);
+    find.visit_block(&l.body);
+    find.found
 }
 
 /// A literal's runtime value, if the expression is a literal (used to bake
@@ -1599,8 +1660,34 @@ impl<'a> Compiler<'a> {
         None
     }
 
+    /// The watch index of loop `l`, resolving the frame slot of each of
+    /// its watched pointer variables at the loop's first use of the name.
+    fn watch_loop(&mut self, l: &ForLoop) -> u32 {
+        let Some(spec) = self.watch.as_ref().map(|(spec, _)| *spec) else {
+            return NO_WATCH;
+        };
+        let Some(watch) = spec.index_of(l.id) else {
+            return NO_WATCH;
+        };
+        let slots = spec.loops[watch as usize]
+            .pointers
+            .iter()
+            .filter_map(|name| match &self.names {
+                NameResolution::Func(slots) => {
+                    Some((name.clone(), slots.ident_slot(first_use(l, name)?)?))
+                }
+                NameResolution::InitChunk { .. } => None,
+            })
+            .collect();
+        if let Some((_, resolved)) = self.watch.as_mut() {
+            resolved[watch as usize] = slots;
+        }
+        watch
+    }
+
     fn compile_for(&mut self, l: &ForLoop) {
-        self.code.push(Insn::LoopEnter { id: l.id });
+        let watch = self.watch_loop(l);
+        self.code.push(Insn::LoopEnter { id: l.id, watch });
         let mark = self.temp_top;
         let init = self.compile_expr(&l.init);
         self.temp_top = mark;
@@ -1685,7 +1772,10 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_while(&mut self, id: NodeId, cond: &Expr, body: &Block) {
-        self.code.push(Insn::LoopEnter { id });
+        self.code.push(Insn::LoopEnter {
+            id,
+            watch: NO_WATCH,
+        });
         self.loops.push(OpenLoop::default());
         let mark = self.temp_top;
         let top = self.pc();

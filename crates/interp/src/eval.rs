@@ -6,6 +6,7 @@
 
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::intrinsics::{self, Intrinsic};
+use crate::loopwatch::{LoopWatch, LoopWatcher};
 use crate::memory::Memory;
 use crate::ops::{self, BinCosts, IntrinsicCtx};
 use crate::profile::{CostModel, Profile};
@@ -144,10 +145,13 @@ pub struct Interpreter<'m> {
     /// Operator costs copied out of the cost model once — the binop/unop
     /// hot paths must not clone the full [`CostModel`] per operation.
     bin_costs: BinCosts,
+    /// Open watch windows: watched-function activations, or an open
+    /// loop-watch window. Memory accesses record kernel access ranges
+    /// while it is non-zero.
     watch_depth: usize,
     call_depth: usize,
-    timer_stack: Vec<(i64, u64)>,
     kernel_snapshot: Option<(u64, u64, u64, u64)>,
+    loop_watch: Option<(LoopWatch, LoopWatcher)>,
     globals: HashMap<String, Value>,
     heap_count: u32,
 }
@@ -163,11 +167,23 @@ impl<'m> Interpreter<'m> {
             bin_costs,
             watch_depth: 0,
             call_depth: 0,
-            timer_stack: Vec::new(),
             kernel_snapshot: None,
+            loop_watch: None,
             globals: HashMap::new(),
             heap_count: 0,
         }
+    }
+
+    /// Watch `watch`'s loops in the runs that follow (see
+    /// [`crate::loopwatch`]). A loop watch and a function watch share the
+    /// kernel access tracking, so `config.watch_function` must be `None`.
+    pub fn watch_loops(&mut self, watch: LoopWatch) {
+        assert!(
+            self.config.watch_function.is_none(),
+            "a loop watch excludes a function watch"
+        );
+        let watcher = LoopWatcher::new(&watch, &mut self.profile);
+        self.loop_watch = Some((watch, watcher));
     }
 
     /// The accumulated profile.
@@ -314,7 +330,6 @@ impl<'m> Interpreter<'m> {
             memory: &mut self.memory,
             cost_model: &self.config.cost_model,
             max_cycles: self.config.max_cycles,
-            timer_stack: &mut self.timer_stack,
             heap_count: &mut self.heap_count,
             watch: self.watch_depth > 0,
         };
@@ -426,7 +441,27 @@ impl<'m> Interpreter<'m> {
         }
     }
 
+    /// Entry of loop `id`: if it is watched, note the entry and, when it
+    /// opens a window, the watched pointer variables' values. Returns the
+    /// loop's watch index.
+    fn enter_watched_loop(&mut self, id: NodeId, frame: &Frame) -> Option<u32> {
+        let (spec, watcher) = self.loop_watch.as_mut()?;
+        let watch = spec.index_of(id)?;
+        let names = &spec.loops[watch as usize].pointers;
+        let pointers = || {
+            names
+                .iter()
+                .filter_map(|n| frame.get(n).map(|v| (n.clone(), v)))
+                .collect()
+        };
+        if watcher.enter(watch, &mut self.profile, pointers) {
+            self.watch_depth += 1;
+        }
+        Some(watch)
+    }
+
     fn exec_for(&mut self, l: &'m ForLoop, frame: &mut Frame) -> RuntimeResult<Flow> {
+        let watch = self.enter_watched_loop(l.id, frame);
         let start_cycles = self.profile.total_cycles;
         frame.push();
         let init = self.eval(&l.init, frame)?;
@@ -501,6 +536,11 @@ impl<'m> Interpreter<'m> {
         stats.entries += 1;
         stats.iterations += iterations;
         stats.cycles += self.profile.total_cycles - start_cycles;
+        if let (Some(watch), Some((_, watcher))) = (watch, self.loop_watch.as_mut()) {
+            if watcher.exit(watch, &mut self.profile, &mut self.memory) {
+                self.watch_depth -= 1;
+            }
+        }
         Ok(result)
     }
 
@@ -832,24 +872,6 @@ mod tests {
         assert_eq!(stats[1].mean_trip_count(), 4.0);
         // Outer loop cycles strictly contain inner loop cycles.
         assert!(stats[0].cycles > stats[1].cycles);
-    }
-
-    #[test]
-    fn timers_measure_nested_regions() {
-        let (_, p) = run("int main() {\
-               __psa_timer_start(1);\
-               int s = 0;\
-               __psa_timer_start(2);\
-               for (int i = 0; i < 100; i++) { s += i; }\
-               __psa_timer_stop(2);\
-               __psa_timer_stop(1);\
-               return s;\
-             }");
-        let t1 = p.timers[&1];
-        let t2 = p.timers[&2];
-        assert_eq!(t1.starts, 1);
-        assert!(t1.cycles >= t2.cycles);
-        assert!(t2.cycles > 100);
     }
 
     #[test]

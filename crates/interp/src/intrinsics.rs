@@ -1,6 +1,6 @@
 //! Built-in functions available to MiniC++ programs.
 //!
-//! Three groups:
+//! Two groups:
 //!
 //! * **math** — the C math library surface the benchmarks use, in both
 //!   double (`sqrt`, `exp`, …) and single precision (`sqrtf`, `expf`, …).
@@ -9,9 +9,8 @@
 //! * **memory** — `alloc_double/float/int` and `fill_random`, the minimal
 //!   allocation story MiniC++ needs for self-contained runnable benchmarks
 //!   (standing in for `new[]`/`std::vector` in the paper's C++ sources).
-//! * **instrumentation** — `__psa_timer_start/stop(id)`, inserted by the
-//!   hotspot-detection meta-program exactly like Artisan inserts loop
-//!   timers.
+//!
+//! `sink(x)` observes a value so benchmark results count as used.
 
 use psa_minicpp::ast::Scalar;
 
@@ -23,10 +22,6 @@ pub enum Intrinsic {
     Alloc(Scalar),
     /// `fill_random(ptr, n, seed)` — deterministic uniform fill.
     FillRandom,
-    /// `__psa_timer_start(id)`.
-    TimerStart,
-    /// `__psa_timer_stop(id)`.
-    TimerStop,
     /// `sink(x)` — observe a value so benchmark results are "used".
     Sink,
 }
@@ -205,8 +200,6 @@ pub fn lookup(name: &str) -> Option<Intrinsic> {
         "alloc_float" => Some(Intrinsic::Alloc(Scalar::Float)),
         "alloc_int" => Some(Intrinsic::Alloc(Scalar::Int)),
         "fill_random" => Some(Intrinsic::FillRandom),
-        "__psa_timer_start" => Some(Intrinsic::TimerStart),
-        "__psa_timer_stop" => Some(Intrinsic::TimerStop),
         "sink" => Some(Intrinsic::Sink),
         _ => None,
     }

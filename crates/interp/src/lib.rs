@@ -1,10 +1,10 @@
 //! # psa-interp — deterministic MiniC++ interpreter with profiling
 //!
 //! This crate stands in for *native execution* in the paper's design-flows.
-//! Several of the codified tasks are **dynamic**: hotspot detection runs the
-//! instrumented application with loop timers; trip-count, data-movement and
-//! pointer-alias analyses all "require program execution" (the ⚡ marker in
-//! the paper's Fig. 3/4). Here execution happens on a tree-walking
+//! Several of the codified tasks are **dynamic**: hotspot detection times
+//! the application's loops; trip-count, data-movement and pointer-alias
+//! analyses all "require program execution" (the ⚡ marker in the paper's
+//! Fig. 3/4). Here execution happens on a tree-walking
 //! interpreter whose *virtual clock* advances by a configurable per-operation
 //! cycle cost, making every dynamic analysis bit-for-bit reproducible.
 //!
@@ -17,17 +17,23 @@
 //!   plus FLOP / load / store accounting used by the arithmetic-intensity
 //!   and data-in/out analyses and by the platform performance models;
 //! * per-loop statistics (entries, iterations, inclusive cycles) keyed by
-//!   AST [`psa_minicpp::NodeId`], the substrate for hotspot detection;
-//! * instrumentation intrinsics (`__psa_timer_start/stop`) that inserted
-//!   probes can call, mirroring how Artisan meta-programs instrument code;
+//!   AST [`psa_minicpp::NodeId`], recorded natively on every run. Hotspot
+//!   detection ranks loops by them: the paper inserts timer probes because
+//!   Artisan measures native code, but here the virtual clock already
+//!   times every loop, and the probes would charge no cycles, so the
+//!   ranking is the same without them;
 //! * kernel access tracing: while a *watched function* is on the call stack,
 //!   byte-accurate per-buffer read/write ranges are recorded (data-movement
-//!   analysis).
+//!   analysis);
+//! * a loop watch ([`loopwatch`]): the same kernel-scoped metrics for
+//!   loops that are still inline, so the run that ranks the hotspots also
+//!   observes the kernel that outlining the hottest loop will produce.
 
 pub mod compile;
 pub mod error;
 pub mod eval;
 pub mod intrinsics;
+pub mod loopwatch;
 pub mod memory;
 mod ops;
 mod peephole;
@@ -40,6 +46,7 @@ pub mod vmprof;
 pub use compile::Program;
 pub use error::{RuntimeError, RuntimeResult};
 pub use eval::{set_default_engine, Engine, Interpreter, RunConfig};
+pub use loopwatch::{LoopWatch, LoopWindow, WatchedLoop};
 pub use memory::{BufferId, Memory};
 pub use profile::{CostModel, LoopStats, Profile};
 pub use value::{Pointer, Value};
@@ -94,28 +101,45 @@ impl RunConfig {
 /// returning the full [`ProfiledRun`] artefacts. Both engines are
 /// observationally identical, so callers need not care which one ran.
 pub fn run_main_profiled(module: &Module, config: RunConfig) -> RuntimeResult<ProfiledRun> {
-    match config.engine {
+    run_main(module, config, None)
+}
+
+/// [`run_main_profiled`] with `watch`'s loops watched. The windows land in
+/// [`Profile::loop_windows`]; `config.watch_function` must be `None`.
+pub fn run_main_watching_loops(
+    module: &Module,
+    config: RunConfig,
+    watch: &LoopWatch,
+) -> RuntimeResult<ProfiledRun> {
+    run_main(module, config, Some(watch))
+}
+
+fn run_main(
+    module: &Module,
+    config: RunConfig,
+    watch: Option<&LoopWatch>,
+) -> RuntimeResult<ProfiledRun> {
+    let (result, (profile, memory)) = match config.engine {
         Engine::Vm => {
-            let mut vm = Vm::new(module, config);
-            let result = vm.run_main()?;
-            let (profile, memory) = vm.into_parts();
-            Ok(ProfiledRun {
-                result,
-                profile,
-                memory,
-            })
+            let mut vm = match watch {
+                Some(watch) => Vm::watching_loops(module, config, watch),
+                None => Vm::new(module, config),
+            };
+            (vm.run_main()?, vm.into_parts())
         }
         Engine::Tree => {
             let mut interp = Interpreter::new(module, config);
-            let result = interp.run_main()?;
-            let (profile, memory) = interp.into_parts();
-            Ok(ProfiledRun {
-                result,
-                profile,
-                memory,
-            })
+            if let Some(watch) = watch {
+                interp.watch_loops(watch.clone());
+            }
+            (interp.run_main()?, interp.into_parts())
         }
-    }
+    };
+    Ok(ProfiledRun {
+        result,
+        profile,
+        memory,
+    })
 }
 
 /// Execute `main` on the bytecode VM from an already-compiled [`Program`],

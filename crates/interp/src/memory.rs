@@ -14,6 +14,7 @@ use crate::error::{RuntimeError, RuntimeResult};
 use psa_minicpp::ast::Scalar;
 use psa_minicpp::Span;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of one allocation.
@@ -71,16 +72,44 @@ pub struct AccessRange {
 }
 
 impl AccessRange {
-    fn record_read(&mut self, idx: u64) {
+    /// Record a read; true if it is the range's first access.
+    fn record_read(&mut self, idx: u64) -> bool {
+        let first = self.is_empty();
         self.reads += 1;
         self.read_lo = Some(self.read_lo.map_or(idx, |lo| lo.min(idx)));
         self.read_hi = Some(self.read_hi.map_or(idx, |hi| hi.max(idx)));
+        first
     }
 
-    fn record_write(&mut self, idx: u64) {
+    /// Record a write; true if it is the range's first access.
+    fn record_write(&mut self, idx: u64) -> bool {
+        let first = self.is_empty();
         self.writes += 1;
         self.write_lo = Some(self.write_lo.map_or(idx, |lo| lo.min(idx)));
         self.write_hi = Some(self.write_hi.map_or(idx, |hi| hi.max(idx)));
+        first
+    }
+
+    fn is_empty(&self) -> bool {
+        self.reads == 0 && self.writes == 0
+    }
+
+    /// Add `other`'s accesses. Ranges are bounding intervals and counts
+    /// are sums, so recording two spans of accesses separately and merging
+    /// them equals recording them into one range.
+    pub fn merge(&mut self, other: &AccessRange) {
+        fn lo(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+            a.into_iter().chain(b).min()
+        }
+        fn hi(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+            a.into_iter().chain(b).max()
+        }
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.read_lo = lo(self.read_lo, other.read_lo);
+        self.read_hi = hi(self.read_hi, other.read_hi);
+        self.write_lo = lo(self.write_lo, other.write_lo);
+        self.write_hi = hi(self.write_hi, other.write_hi);
     }
 
     /// Number of distinct elements in the read range (footprint upper
@@ -115,6 +144,9 @@ pub struct Buffer {
 #[derive(Debug, Default, PartialEq)]
 pub struct Memory {
     buffers: Vec<Buffer>,
+    /// Buffers whose kernel access range is not empty, so draining the
+    /// ranges touches only those.
+    touched: BTreeSet<BufferId>,
 }
 
 impl Memory {
@@ -194,8 +226,8 @@ impl Memory {
     ) -> RuntimeResult<crate::Value> {
         let buf = &mut self.buffers[id.0 as usize];
         let i = Self::check(buf, idx, span)?;
-        if watch {
-            buf.kernel_access.record_read(i as u64);
+        if watch && buf.kernel_access.record_read(i as u64) {
+            self.touched.insert(id);
         }
         // SAFETY: `check` above proved `i < buf.data.len()`.
         Ok(unsafe {
@@ -220,8 +252,8 @@ impl Memory {
     ) -> RuntimeResult<()> {
         let buf = &mut self.buffers[id.0 as usize];
         let i = Self::check(buf, idx, span)?;
-        if watch {
-            buf.kernel_access.record_write(i as u64);
+        if watch && buf.kernel_access.record_write(i as u64) {
+            self.touched.insert(id);
         }
         let type_err = |need: &str| RuntimeError::Type {
             message: format!(
@@ -273,8 +305,8 @@ impl Memory {
     ) -> RuntimeResult<f64> {
         let buf = &mut self.buffers[id.0 as usize];
         let i = Self::check(buf, idx, span)?;
-        if watch {
-            buf.kernel_access.record_read(i as u64);
+        if watch && buf.kernel_access.record_read(i as u64) {
+            self.touched.insert(id);
         }
         match &buf.data {
             // SAFETY: `check` above proved `i < buf.data.len()`.
@@ -297,8 +329,8 @@ impl Memory {
     ) -> RuntimeResult<()> {
         let buf = &mut self.buffers[id.0 as usize];
         let i = Self::check(buf, idx, span)?;
-        if watch {
-            buf.kernel_access.record_write(i as u64);
+        if watch && buf.kernel_access.record_write(i as u64) {
+            self.touched.insert(id);
         }
         match &mut buf.data {
             // SAFETY: `check` above proved `i < buf.data.len()`.
@@ -312,6 +344,15 @@ impl Memory {
     pub fn clear_kernel_access(&mut self) {
         for b in &mut self.buffers {
             b.kernel_access = AccessRange::default();
+        }
+        self.touched.clear();
+    }
+
+    /// Hand every non-empty kernel access range to `f` in buffer order and
+    /// reset it — how a loop watch collects one window's accesses.
+    pub fn drain_kernel_access(&mut self, mut f: impl FnMut(BufferId, AccessRange)) {
+        for id in std::mem::take(&mut self.touched) {
+            f(id, std::mem::take(&mut self.buffer_mut(id).kernel_access));
         }
     }
 

@@ -346,7 +346,6 @@ pub(crate) struct IntrinsicCtx<'a> {
     pub memory: &'a mut Memory,
     pub cost_model: &'a CostModel,
     pub max_cycles: u64,
-    pub timer_stack: &'a mut Vec<(i64, u64)>,
     pub heap_count: &'a mut u32,
     /// Whether execution is currently inside the watched kernel.
     pub watch: bool,
@@ -437,30 +436,6 @@ pub(crate) fn exec_intrinsic(
                 ctx.profile.stores += 1;
                 ctx.profile.bytes_stored += elem_bytes;
             }
-            Ok(Value::Unit)
-        }
-        Intrinsic::TimerStart => {
-            let id = args
-                .first()
-                .and_then(Value::as_i64)
-                .ok_or_else(|| bad("__psa_timer_start(id)".into()))?;
-            ctx.timer_stack.push((id, ctx.profile.total_cycles));
-            Ok(Value::Unit)
-        }
-        Intrinsic::TimerStop => {
-            let id = args
-                .first()
-                .and_then(Value::as_i64)
-                .ok_or_else(|| bad("__psa_timer_stop(id)".into()))?;
-            let pos = ctx
-                .timer_stack
-                .iter()
-                .rposition(|(tid, _)| *tid == id)
-                .ok_or_else(|| bad(format!("timer {id} stopped without start")))?;
-            let (_, start) = ctx.timer_stack.remove(pos);
-            let t = ctx.profile.timers.entry(id).or_default();
-            t.starts += 1;
-            t.cycles += ctx.profile.total_cycles - start;
             Ok(Value::Unit)
         }
         Intrinsic::Sink => Ok(Value::Unit),

@@ -87,14 +87,6 @@ impl LoopStats {
     }
 }
 
-/// Timer region recorded via the `__psa_timer_start/stop` intrinsics that
-/// instrumentation passes insert.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimerStats {
-    pub starts: u64,
-    pub cycles: u64,
-}
-
 /// Everything the interpreter measures during one run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Profile {
@@ -114,8 +106,9 @@ pub struct Profile {
     pub bytes_stored: u64,
     /// Per-loop inclusive statistics.
     pub loop_stats: HashMap<NodeId, LoopStats>,
-    /// Instrumentation timer regions, keyed by user-chosen timer id.
-    pub timers: HashMap<i64, TimerStats>,
+    /// Loop-watch records, one per watched loop in
+    /// [`crate::LoopWatch::loops`] order (empty without a loop watch).
+    pub loop_windows: Vec<crate::LoopWindow>,
     /// Cycles spent inside the watched kernel function (inclusive).
     pub kernel_cycles: u64,
     /// FLOPs inside the watched kernel.
@@ -159,14 +152,6 @@ impl Profile {
         self.loop_stats
             .get(&id)
             .map_or(0.0, |s| s.cycles as f64 / self.total_cycles as f64)
-    }
-
-    /// Merge per-timer results into (id → cycles), sorted by id, for stable
-    /// reporting.
-    pub fn timer_table(&self) -> Vec<(i64, TimerStats)> {
-        let mut v: Vec<_> = self.timers.iter().map(|(k, s)| (*k, *s)).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
     }
 }
 

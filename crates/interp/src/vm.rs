@@ -17,10 +17,11 @@
 //! `return` can record per-loop stats for every loop it unwinds, innermost
 //! first, exactly as nested `exec_for` returns do in the tree-walker.
 
-use crate::compile::{CallTarget, Insn, Program, SpanId, NO_SPAN};
+use crate::compile::{CallTarget, Insn, Program, SpanId, NO_SPAN, NO_WATCH};
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::eval::RunConfig;
 use crate::intrinsics::{self, Intrinsic};
+use crate::loopwatch::{LoopWatch, LoopWatcher};
 use crate::memory::Memory;
 use crate::ops::{self, BinCosts, IntrinsicCtx};
 use crate::profile::Profile;
@@ -44,6 +45,8 @@ struct LoopCtx {
     /// the step advances from here even if the body reassigned the
     /// variable (tree-walker semantics).
     cur_i: i64,
+    /// The loop's watch index, or [`NO_WATCH`].
+    watch: u32,
 }
 
 /// Code-chunk id inside a [`Program`]: a function index, or the module's
@@ -133,10 +136,13 @@ pub struct Vm {
     /// All frames' register files, `base`-offset per call.
     regs: Vec<Value>,
     loop_ctxs: Vec<LoopCtx>,
+    /// Open watch windows: watched-function activations, or an open
+    /// loop-watch window. Memory accesses record kernel access ranges
+    /// while it is non-zero.
     watch_depth: usize,
     call_depth: usize,
-    timer_stack: Vec<(i64, u64)>,
     kernel_snapshot: Option<(u64, u64, u64, u64)>,
+    loop_watcher: Option<LoopWatcher>,
     heap_count: u32,
     /// Instructions dispatched and user calls made, for the metrics
     /// registry. Deliberately NOT part of [`Profile`]: profiles are
@@ -176,14 +182,29 @@ impl Vm {
             loop_ctxs: Vec::new(),
             watch_depth: 0,
             call_depth: 0,
-            timer_stack: Vec::new(),
             kernel_snapshot: None,
+            loop_watcher: None,
             heap_count: 0,
             dispatches: 0,
             spec_dispatches: 0,
             calls: 0,
             profiler: None,
         }
+    }
+
+    /// Compile `module` with `watch`'s loops watched (see
+    /// [`crate::loopwatch`]) and set up a VM to run it under `config`. A
+    /// loop watch and a function watch share the kernel access tracking,
+    /// so `config.watch_function` must be `None`.
+    pub fn watching_loops(module: &Module, config: RunConfig, watch: &LoopWatch) -> Self {
+        assert!(
+            config.watch_function.is_none(),
+            "a loop watch excludes a function watch"
+        );
+        let program = Arc::new(Program::compile_watching_loops(module, &config, watch));
+        let mut vm = Vm::with_program(program, config);
+        vm.loop_watcher = Some(LoopWatcher::new(watch, &mut vm.profile));
+        vm
     }
 
     /// Attach a fresh frame profiler; subsequent runs attribute virtual
@@ -503,7 +524,6 @@ impl Vm {
             memory: &mut self.memory,
             cost_model: &self.config.cost_model,
             max_cycles: self.config.max_cycles,
-            timer_stack: &mut self.timer_stack,
             heap_count: &mut self.heap_count,
             watch: self.watch_depth > 0,
         };
@@ -534,7 +554,7 @@ impl Vm {
             globals,
             loop_ctxs,
             watch_depth,
-            timer_stack,
+            loop_watcher,
             heap_count,
             dispatches,
             spec_dispatches,
@@ -543,9 +563,10 @@ impl Vm {
         } = self;
         let frame = &mut regs.as_mut_slice()[base..];
         let max_cycles = config.max_cycles;
-        // The watch window only toggles at call boundaries, which suspend
-        // this chunk, so one snapshot per chunk entry is exact.
-        let watch = *watch_depth > 0;
+        // A function watch toggles only at call boundaries, which suspend
+        // this chunk; a loop-watch window toggles at a watched loop's
+        // `LoopEnter`/`LoopExit`, which refresh this copy.
+        let mut watch = *watch_depth > 0;
         let spans = program.spans.as_slice();
         let mut pc = start_pc;
         while let Some(insn) = code.get(pc) {
@@ -739,7 +760,6 @@ impl Vm {
                                 memory: &mut *memory,
                                 cost_model: &config.cost_model,
                                 max_cycles,
-                                timer_stack: &mut *timer_stack,
                                 heap_count: &mut *heap_count,
                                 watch,
                             };
@@ -767,22 +787,54 @@ impl Vm {
                         Value::Unit
                     };
                     while loop_ctxs.len() > loop_base {
-                        record_loop_exit(profile, loop_ctxs, profiler);
+                        record_loop_exit(
+                            profile,
+                            memory,
+                            loop_ctxs,
+                            profiler,
+                            loop_watcher,
+                            watch_depth,
+                        );
                     }
                     return Ok(StepOut::Return(v));
                 }
-                Insn::LoopEnter { id } => {
+                Insn::LoopEnter { id, watch: w } => {
+                    if *w != NO_WATCH {
+                        if let Some(watcher) = loop_watcher.as_mut() {
+                            let pointers = || {
+                                program.loop_watch[*w as usize]
+                                    .iter()
+                                    .map(|(name, slot)| (name.clone(), reg(frame, *slot)))
+                                    .collect()
+                            };
+                            if watcher.enter(*w, profile, pointers) {
+                                *watch_depth += 1;
+                                watch = true;
+                            }
+                        }
+                    }
                     loop_ctxs.push(LoopCtx {
                         id: *id,
                         start_cycles: profile.total_cycles,
                         iters: 0,
                         cur_i: 0,
+                        watch: *w,
                     });
                     if let Some(p) = profiler.as_mut() {
                         p.enter(FrameKey::Loop(*id), profile.total_cycles);
                     }
                 }
-                Insn::LoopExit => record_loop_exit(profile, loop_ctxs, profiler),
+                Insn::LoopExit => {
+                    record_loop_exit(
+                        profile,
+                        memory,
+                        loop_ctxs,
+                        profiler,
+                        loop_watcher,
+                        watch_depth,
+                    );
+                    watch = *watch_depth > 0;
+                }
                 Insn::ForInit {
                     slot,
                     src,
@@ -1143,11 +1195,15 @@ impl Vm {
     }
 }
 
-/// Record stats for the innermost open loop and close it.
+/// Record stats for the innermost open loop and close it, closing its
+/// loop-watch window if it has one open.
 fn record_loop_exit(
     profile: &mut Profile,
+    memory: &mut Memory,
     loop_ctxs: &mut Vec<LoopCtx>,
     profiler: &mut Option<Box<VmProfiler>>,
+    loop_watcher: &mut Option<LoopWatcher>,
+    watch_depth: &mut usize,
 ) {
     let ctx = loop_ctxs.pop().expect("open loop context");
     let stats = profile.loop_stats.entry(ctx.id).or_default();
@@ -1156,6 +1212,13 @@ fn record_loop_exit(
     stats.cycles += profile.total_cycles - ctx.start_cycles;
     if let Some(p) = profiler.as_mut() {
         p.exit(profile.total_cycles);
+    }
+    if ctx.watch != NO_WATCH {
+        if let Some(watcher) = loop_watcher.as_mut() {
+            if watcher.exit(ctx.watch, profile, memory) {
+                *watch_depth -= 1;
+            }
+        }
     }
 }
 

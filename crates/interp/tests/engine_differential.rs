@@ -2,8 +2,10 @@
 //! be observationally identical — results, profiles (virtual clock and all
 //! counters), memory arenas, and errors (variant, message, span).
 
-use psa_interp::{Engine, ProfiledRun, RunConfig, RuntimeError};
+use psa_interp::{Engine, LoopWatch, ProfiledRun, RunConfig, RuntimeError, WatchedLoop};
+use psa_minicpp::ast::Item;
 use psa_minicpp::parse_module;
+use psa_minicpp::visit::collect_loops;
 
 fn config(engine: Engine, watch: Option<&str>) -> RunConfig {
     RunConfig {
@@ -108,9 +110,6 @@ fn arithmetic_conversion_and_ternary_programs_agree() {
         // Recursion (call cost + depth accounting).
         "int fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }\
          int main() { return fib(12); }",
-        // Timers.
-        "int main() { __psa_timer_start(3); int s = 0;\
-           for (int i = 0; i < 100; i++) { s += i; } __psa_timer_stop(3); return s; }",
         // Fractional indices truncate toward zero (both engines use the
         // same integer conversion for index expressions).
         "int main() { double* p = alloc_double(4); p[1] = 8.0; double d = 1.5; return (int)p[d]; }",
@@ -142,6 +141,82 @@ fn watched_kernel_accounting_agrees() {
     assert_eq!(run.profile.kernel_calls, 2);
     assert_eq!(run.profile.kernel_arg_ptrs.len(), 2);
     assert!(run.profile.kernel_bytes_loaded > 0);
+}
+
+/// Watch every outermost `for` loop of every function, recording the free
+/// names in `pointers` at entry, and run under both engines.
+fn assert_loop_watch_agrees(src: &str, pointers: &[&str]) -> ProfiledRun {
+    let m = parse_module(src, "diff").expect("parses");
+    let watch = LoopWatch {
+        loops: m
+            .items
+            .iter()
+            .filter_map(|item| match item {
+                Item::Function(f) => Some(collect_loops(f)),
+                _ => None,
+            })
+            .flatten()
+            .filter(|(_, depth)| *depth == 0)
+            .map(|(l, _)| WatchedLoop {
+                id: l.id,
+                pointers: pointers.iter().map(|p| p.to_string()).collect(),
+            })
+            .collect(),
+    };
+    let run = |engine| {
+        psa_interp::run_main_watching_loops(&m, config(engine, None), &watch).expect("runs")
+    };
+    let (tree, vm) = (run(Engine::Tree), run(Engine::Vm));
+    assert_eq!(format!("{:?}", tree.result), format!("{:?}", vm.result));
+    assert_eq!(tree.profile, vm.profile, "profile diverged");
+    assert_eq!(format!("{:?}", tree.memory), format!("{:?}", vm.memory));
+    vm
+}
+
+#[test]
+fn loop_watch_windows_agree() {
+    // A hot loop entered twice through a helper, a loop calling the helper
+    // (so the helper's loop runs inside its window), a loop that returns
+    // from inside its body, and a recursive loop re-entering itself.
+    let run = assert_loop_watch_agrees(
+        "void scale(double* a, double* b, int n) {\
+           for (int i = 0; i < n; i++) { b[i] = a[i] * 2.0; }\
+         }\
+         int first(double* a, int n) {\
+           for (int i = 0; i < n; i++) { if (a[i] > 0.5) { return i; } }\
+           return n;\
+         }\
+         int depth(double* a, int d) {\
+           int s = 0;\
+           for (int i = 0; i < 2; i++) { a[d] += 1.0; if (d > 0) { s += depth(a, d - 1); } }\
+           return s + 1;\
+         }\
+         int main() {\
+           double* a = alloc_double(16); double* b = alloc_double(16);\
+           fill_random(a, 16, 3);\
+           scale(a, b, 16); scale(b, a, 8);\
+           for (int r = 0; r < 3; r++) { scale(a, b, 4); }\
+           int f = first(a, 16);\
+           return f + depth(b, 2);\
+         }",
+        &["a", "b"],
+    );
+    let w = &run.profile.loop_windows;
+    assert_eq!(w.len(), 4, "one record per watched loop");
+    // `scale`: two windows of its own, three more inside `main`'s loop.
+    assert_eq!((w[0].windows, w[0].nested), (2, 3));
+    assert_eq!(w[0].pointers.len(), 2);
+    assert!(w[0].access.len() == 2 && w[0].cycles > 0);
+    // `first` returns from inside its window, which still closes.
+    assert_eq!((w[1].windows, w[1].nested), (1, 0));
+    // `depth` re-enters itself: one window, the rest nested.
+    assert_eq!(w[2].windows, 1);
+    assert!(w[2].nested > 0);
+    // `main`'s loop window covers the three nested `scale` calls.
+    assert_eq!((w[3].windows, w[3].nested), (1, 0));
+    assert!(w[3].cycles > 0 && w[3].pointers[0].len() == 2);
+    // No window is left open, so no access range is left undrained.
+    assert!(run.memory.kernel_touched().is_empty());
 }
 
 // ----------------------------------------------------------------------
@@ -209,12 +284,6 @@ fn intrinsic_wrong_type_errors_agree() {
     assert!(matches!(
         err,
         RuntimeError::Intrinsic { ref message, .. } if message == "fill_random needs a pointer"
-    ));
-
-    let err = assert_same_error("int main() { __psa_timer_stop(7); return 0; }");
-    assert!(matches!(
-        err,
-        RuntimeError::Intrinsic { ref message, .. } if message == "timer 7 stopped without start"
     ));
 }
 
