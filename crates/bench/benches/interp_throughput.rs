@@ -13,7 +13,10 @@
 //! *minimum* over the rounds: execution is deterministic, so the true cost
 //! is a constant and all timing noise is additive — the minimum is the
 //! robust estimator of that constant. Emits machine-readable results to
-//! `BENCH_interp.json` at the workspace root.
+//! `BENCH_interp.json` at the workspace root. Each app row also records
+//! the VM's `dispatches` and `specialized_dispatches` for one run: they are
+//! deterministic, so CI compares them with the committed file and a change
+//! to what the VM executes shows up as a diff.
 //!
 //! Run with: `cargo bench -p psa-bench --bench interp_throughput`
 
@@ -134,9 +137,11 @@ fn main() {
     json.push_str("  \"unit\": \"ms_min_of_15_interleaved_steady_state_runs\",\n  \"apps\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"key\": \"{}\", \"virtual_cycles\": {}, \"tree_ms\": {:.3}, \"vm_ms\": {:.3}, \"speedup\": {:.2}, \"specialized_dispatch_fraction\": {:.4}}}{}\n",
+            "    {{\"key\": \"{}\", \"virtual_cycles\": {}, \"dispatches\": {}, \"specialized_dispatches\": {}, \"tree_ms\": {:.3}, \"vm_ms\": {:.3}, \"speedup\": {:.2}, \"specialized_dispatch_fraction\": {:.4}}}{}\n",
             r.key,
             r.cycles,
+            r.dispatches,
+            r.spec_dispatches,
             r.tree_ms,
             r.vm_ms,
             r.tree_ms / r.vm_ms,

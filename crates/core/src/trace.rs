@@ -11,12 +11,11 @@
 //!   assertions and reports keep working, and so parallel and sequential
 //!   engine runs can be compared byte-for-byte — wall-clock durations are
 //!   deliberately *not* rendered);
-//! * [`to_json`] exports the full tree, durations included, for machine
-//!   consumption. The encoder is hand-rolled because the in-tree `serde`
-//!   compat shim is marker-only (see `compat/serde`).
+//! * [`crate::obs_export::export_trace`] lays the full tree, durations
+//!   included, out as a Perfetto timeline for machine consumption (the
+//!   binaries' `--trace-out=`).
 
 use crate::flow::FlowError;
-use std::fmt::Write as _;
 
 /// One node of a flow's execution trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -300,279 +299,6 @@ fn render_event(event: &TraceEvent, out: &mut Vec<String>) {
     }
 }
 
-/// Export a trace as a JSON array (durations included).
-pub fn to_json(events: &[TraceEvent]) -> String {
-    let mut s = String::new();
-    write_events(&mut s, events);
-    s
-}
-
-fn write_events(s: &mut String, events: &[TraceEvent]) {
-    s.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        write_event(s, e);
-    }
-    s.push(']');
-}
-
-fn write_event(s: &mut String, event: &TraceEvent) {
-    match event {
-        TraceEvent::Note { text } => {
-            s.push_str("{\"kind\":\"note\",\"text\":");
-            write_str(s, text);
-            s.push('}');
-        }
-        TraceEvent::Task {
-            flow,
-            name,
-            class,
-            dynamic,
-            wall_ns,
-            virtual_s,
-            events,
-        } => {
-            s.push_str("{\"kind\":\"task\",\"flow\":");
-            write_str(s, flow);
-            s.push_str(",\"name\":");
-            write_str(s, name);
-            s.push_str(",\"class\":");
-            write_str(s, class);
-            let _ = write!(s, ",\"dynamic\":{dynamic},\"wall_ns\":{wall_ns}");
-            if let Some(v) = virtual_s {
-                let _ = write!(s, ",\"virtual_s\":{}", json_f64(*v));
-            }
-            s.push_str(",\"events\":");
-            write_events(s, events);
-            s.push('}');
-        }
-        TraceEvent::Branch {
-            flow,
-            branch,
-            strategy,
-            evidence,
-            decision,
-            selection,
-            paths,
-        } => {
-            s.push_str("{\"kind\":\"branch\",\"flow\":");
-            write_str(s, flow);
-            s.push_str(",\"branch\":");
-            write_str(s, branch);
-            s.push_str(",\"strategy\":");
-            write_str(s, strategy);
-            s.push_str(",\"evidence\":");
-            write_events(s, evidence);
-            if let Some(d) = decision {
-                s.push_str(",\"decision\":");
-                write_decision(s, d);
-            }
-            s.push_str(",\"selection\":");
-            match selection {
-                SelectionTrace::None => s.push_str("{\"kind\":\"none\"}"),
-                SelectionTrace::One { index, label } => {
-                    let _ = write!(s, "{{\"kind\":\"one\",\"index\":{index},\"label\":");
-                    write_str(s, label);
-                    s.push('}');
-                }
-                SelectionTrace::Many { indices, labels } => {
-                    let _ = write!(
-                        s,
-                        "{{\"kind\":\"many\",\"indices\":{indices:?},\"labels\":["
-                    );
-                    for (i, l) in labels.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        write_str(s, l);
-                    }
-                    s.push_str("]}");
-                }
-            }
-            s.push_str(",\"paths\":[");
-            for (i, p) in paths.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{{\"index\":{},\"label\":", p.index);
-                write_str(s, &p.label);
-                s.push_str(",\"events\":");
-                write_events(s, &p.events);
-                s.push('}');
-            }
-            s.push_str("]}");
-        }
-        TraceEvent::Dse(dse) => {
-            s.push_str("{\"kind\":\"dse\",");
-            match dse {
-                DseTrace::OmpThreads { threads, est_s } => {
-                    let _ = write!(
-                        s,
-                        "\"dse\":\"omp-threads\",\"threads\":{threads},\"est_s\":{}",
-                        json_f64(*est_s)
-                    );
-                }
-                DseTrace::Blocksize {
-                    device,
-                    blocksize,
-                    occupancy,
-                    est_s,
-                    evaluated,
-                } => {
-                    s.push_str("\"dse\":\"blocksize\",\"device\":");
-                    write_str(s, device);
-                    let _ = write!(
-                        s,
-                        ",\"blocksize\":{blocksize},\"occupancy\":{},\"est_s\":{},\"evaluated\":{evaluated}",
-                        json_f64(*occupancy),
-                        json_f64(*est_s)
-                    );
-                }
-                DseTrace::Unroll {
-                    device,
-                    factor,
-                    lut_util,
-                    iterations,
-                } => {
-                    s.push_str("\"dse\":\"unroll\",\"device\":");
-                    write_str(s, device);
-                    let _ = write!(
-                        s,
-                        ",\"factor\":{factor},\"lut_util\":{},\"iterations\":{iterations}",
-                        json_f64(*lut_util)
-                    );
-                }
-                DseTrace::UnrollOvermapped { device, lut_util } => {
-                    s.push_str("\"dse\":\"unroll-overmapped\",\"device\":");
-                    write_str(s, device);
-                    let _ = write!(s, ",\"lut_util\":{}", json_f64(*lut_util));
-                }
-            }
-            s.push('}');
-        }
-        TraceEvent::CacheStats {
-            flow,
-            hits,
-            misses,
-            evictions,
-            entries,
-        } => {
-            s.push_str("{\"kind\":\"cache-stats\",\"flow\":");
-            write_str(s, flow);
-            let _ = write!(
-                s,
-                ",\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\"entries\":{entries}}}"
-            );
-        }
-        TraceEvent::PathFailed {
-            flow,
-            branch,
-            index,
-            label,
-            error,
-        } => {
-            s.push_str("{\"kind\":\"path-failed\",\"flow\":");
-            write_str(s, flow);
-            s.push_str(",\"branch\":");
-            write_str(s, branch);
-            let _ = write!(s, ",\"index\":{index},\"label\":");
-            write_str(s, label);
-            s.push_str(",\"error\":");
-            write_str(s, &error.message());
-            s.push('}');
-        }
-        TraceEvent::TaskRetry {
-            flow,
-            task,
-            attempt,
-            backoff_ms,
-            error,
-        } => {
-            s.push_str("{\"kind\":\"task-retry\",\"flow\":");
-            write_str(s, flow);
-            s.push_str(",\"task\":");
-            write_str(s, task);
-            let _ = write!(
-                s,
-                ",\"attempt\":{attempt},\"backoff_ms\":{backoff_ms},\"error\":"
-            );
-            write_str(s, error);
-            s.push('}');
-        }
-    }
-}
-
-fn write_decision(s: &mut String, d: &DecisionEvidence) {
-    s.push('{');
-    let mut first = true;
-    let mut field = |s: &mut String, name: &str, value: String| {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(s, "\"{name}\":{value}");
-    };
-    if let Some(v) = d.may_alias {
-        field(s, "may_alias", v.to_string());
-    }
-    if let Some(v) = d.ai {
-        field(s, "ai", json_f64(v));
-    }
-    if let Some(v) = d.ai_threshold {
-        field(s, "ai_threshold", json_f64(v));
-    }
-    if let Some(v) = d.t_transfer_s {
-        field(s, "t_transfer_s", json_f64(v));
-    }
-    if let Some(v) = d.t_cpu_s {
-        field(s, "t_cpu_s", json_f64(v));
-    }
-    if let Some(v) = d.outer_parallel {
-        field(s, "outer_parallel", v.to_string());
-    }
-    if let Some(v) = d.inner_dep_loops {
-        field(s, "inner_dep_loops", v.to_string());
-    }
-    if let Some(v) = d.inner_unrollable {
-        field(s, "inner_unrollable", v.to_string());
-    }
-    if let Some(v) = &d.chosen {
-        let mut quoted = String::new();
-        write_str(&mut quoted, v);
-        field(s, "chosen", quoted);
-    }
-    s.push('}');
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Infinity/NaN; encode as null.
-        "null".to_string()
-    }
-}
-
-fn write_str(s: &mut String, text: &str) {
-    s.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,24 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn json_export_escapes_and_nests() {
-        let events = vec![
-            note("say \"hi\"\n"),
-            TraceEvent::Dse(DseTrace::OmpThreads {
-                threads: 8,
-                est_s: 0.25,
-            }),
-        ];
-        let json = to_json(&events);
-        assert_eq!(
-            json,
-            "[{\"kind\":\"note\",\"text\":\"say \\\"hi\\\"\\n\"},\
-             {\"kind\":\"dse\",\"dse\":\"omp-threads\",\"threads\":8,\"est_s\":0.25}]"
-        );
-    }
-
-    #[test]
-    fn cache_stats_export_to_json_but_never_render() {
+    fn cache_stats_never_render() {
         let events = vec![
             note("before"),
             TraceEvent::CacheStats {
@@ -710,45 +419,5 @@ mod tests {
             },
         ];
         assert_eq!(render_lines(&events), vec!["before"]);
-        let json = to_json(&events);
-        assert!(
-            json.contains(
-                "{\"kind\":\"cache-stats\",\"flow\":\"psa-flow\",\
-                 \"hits\":12,\"misses\":3,\"evictions\":0,\"entries\":3}"
-            ),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn json_export_handles_branches_and_decisions() {
-        let events = vec![TraceEvent::Branch {
-            flow: "f".into(),
-            branch: "A".into(),
-            strategy: "fig3-target-select".into(),
-            evidence: vec![note("[PSA A] offload test")],
-            decision: Some(DecisionEvidence {
-                ai: Some(1.5),
-                ai_threshold: Some(0.5),
-                outer_parallel: Some(true),
-                chosen: Some("CPU+GPU".into()),
-                ..DecisionEvidence::default()
-            }),
-            selection: SelectionTrace::One {
-                index: 0,
-                label: "cpu+gpu".into(),
-            },
-            paths: vec![PathTrace {
-                index: 0,
-                label: "cpu+gpu".into(),
-                events: vec![],
-            }],
-        }];
-        let json = to_json(&events);
-        assert!(json.contains("\"decision\":{\"ai\":1.5,\"ai_threshold\":0.5,\"outer_parallel\":true,\"chosen\":\"CPU+GPU\"}"), "{json}");
-        assert!(
-            json.contains("\"selection\":{\"kind\":\"one\",\"index\":0,\"label\":\"cpu+gpu\"}"),
-            "{json}"
-        );
     }
 }

@@ -179,7 +179,8 @@ pub struct Program {
 /// The variants after [`Insn::Raise`] are **superinstructions**: they are
 /// never emitted by the compiler directly, only by the peephole pass in
 /// [`crate::peephole`], and each one performs exactly the observable steps
-/// of the pair it replaces.
+/// of the pair it replaces; the set is kept to the pairs the benchmark
+/// programs execute (see [`crate::peephole`]).
 #[derive(Debug, Clone)]
 pub(crate) enum Insn {
     /// `dst = v`.
@@ -399,36 +400,6 @@ pub(crate) enum Insn {
         cmp_span: SpanId,
         br_span: SpanId,
     },
-    /// Fused immediate comparison + conditional branch.
-    CmpImmBranch {
-        op: BinOp,
-        l: u16,
-        imm: Value,
-        target: u32,
-        branch_cost: u64,
-        cmp_span: SpanId,
-        br_span: SpanId,
-    },
-    /// Fused comparison + while test (`Bin` cmp + `WhileTest`).
-    CmpWhile {
-        op: BinOp,
-        l: u16,
-        r: u16,
-        exit: u32,
-        branch_cost: u64,
-        cmp_span: SpanId,
-        br_span: SpanId,
-    },
-    /// Fused immediate comparison + while test.
-    CmpImmWhile {
-        op: BinOp,
-        l: u16,
-        imm: Value,
-        exit: u32,
-        branch_cost: u64,
-        cmp_span: SpanId,
-        br_span: SpanId,
-    },
     /// Fused binop + local assignment (`Bin` + `AssignLocal`): covers both
     /// `x = a op b` and the compound `x op= e` lowering.
     BinAssign {
@@ -436,15 +407,6 @@ pub(crate) enum Insn {
         slot: u16,
         l: u16,
         r: u16,
-        span: SpanId,
-        asg_span: SpanId,
-    },
-    /// Fused immediate binop + local assignment.
-    BinImmAssign {
-        op: BinOp,
-        slot: u16,
-        l: u16,
-        imm: Value,
         span: SpanId,
         asg_span: SpanId,
     },
@@ -456,19 +418,6 @@ pub(crate) enum Insn {
         base: u16,
         idx: u16,
         r: u16,
-        cost: u64,
-        base_span: SpanId,
-        index_span: SpanId,
-        load_span: SpanId,
-        span: SpanId,
-    },
-    /// Fused indexed load + immediate binop: `dst = base[idx] op imm`.
-    IndexBinImm {
-        op: BinOp,
-        dst: u16,
-        base: u16,
-        idx: u16,
-        imm: Value,
         cost: u64,
         base_span: SpanId,
         index_span: SpanId,
@@ -556,21 +505,6 @@ pub(crate) enum Insn {
     /// observably identical to its steps — it only removes the dispatch
     /// overhead between them.
     ArithBlock(Box<[Insn]>),
-    /// Fused [`Insn::IndexBinImm`] + declaration coercion (second pass).
-    IndexBinImmCoerce {
-        op: BinOp,
-        dst: u16,
-        base: u16,
-        idx: u16,
-        imm: Value,
-        cost: u64,
-        ty: Type,
-        base_span: SpanId,
-        index_span: SpanId,
-        load_span: SpanId,
-        span: SpanId,
-        co_span: SpanId,
-    },
     /// Fused pair of immediate binops where the second consumes the
     /// first's single-use temporary: `dst = (l op1 imm1) op2 imm2`.
     /// Executes both `apply_binary` calls in order (identical charges and
@@ -655,17 +589,6 @@ pub(crate) enum Insn {
         span: SpanId,
         asg_span: SpanId,
     },
-    /// Specialised `BinImmAssign` (see `F64BinImm` for the immediate).
-    F64BinImmAssign {
-        op: BinOp,
-        rev: bool,
-        slot: u16,
-        l: u16,
-        imm: Value,
-        imm_f64: f64,
-        span: SpanId,
-        asg_span: SpanId,
-    },
     /// Specialised `Index`/`IndexCoerce`: `dst = base[idx]` where `base`
     /// was inferred `double*`. The handler probes the buffer's actual
     /// element type before charging anything.
@@ -708,6 +631,42 @@ pub(crate) enum Insn {
     /// The normal exit falls through to the next instruction (the old
     /// `ForTest` exit target, always the loop's `LoopExit`).
     DeferredFor(Box<DeferredLoop>),
+}
+
+impl Insn {
+    /// The pc this instruction can transfer control to: a branch's
+    /// `target`, a loop test's `exit`, or a [`Insn::Jump`]'s operand.
+    /// `None` for every instruction that only falls through or returns.
+    /// The one place that knows which forms carry a jump target; every
+    /// pass that marks or rewrites targets goes through it.
+    pub(crate) fn target(&self) -> Option<u32> {
+        match *self {
+            Insn::Jump(t)
+            | Insn::JumpIfFalse { target: t, .. }
+            | Insn::AndShort { target: t, .. }
+            | Insn::OrShort { target: t, .. }
+            | Insn::CmpBranch { target: t, .. }
+            | Insn::ForStepJump { target: t, .. }
+            | Insn::ForTest { exit: t, .. }
+            | Insn::WhileTest { exit: t, .. } => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the field [`Insn::target`] reads.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Insn::Jump(t)
+            | Insn::JumpIfFalse { target: t, .. }
+            | Insn::AndShort { target: t, .. }
+            | Insn::OrShort { target: t, .. }
+            | Insn::CmpBranch { target: t, .. }
+            | Insn::ForStepJump { target: t, .. }
+            | Insn::ForTest { exit: t, .. }
+            | Insn::WhileTest { exit: t, .. } => Some(t),
+            _ => None,
+        }
+    }
 }
 
 /// How much of the bytecode optimisation pipeline [`Program::compile_with`]
@@ -952,7 +911,6 @@ impl Program {
                     Insn::F64Bin { .. }
                     | Insn::F64BinImm { .. }
                     | Insn::F64BinAssign { .. }
-                    | Insn::F64BinImmAssign { .. }
                     | Insn::F64Index { .. }
                     | Insn::F64Store { .. }
                     | Insn::F64MathCallImm { .. } => {
@@ -1093,19 +1051,14 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(*slot);
                 chk(*step);
             }
-            Insn::CmpBranch { l, r, .. } | Insn::CmpWhile { l, r, .. } => {
+            Insn::CmpBranch { l, r, .. } => {
                 chk(*l);
                 chk(*r);
             }
-            Insn::CmpImmBranch { l, .. } | Insn::CmpImmWhile { l, .. } => chk(*l),
             Insn::BinAssign { slot, l, r, .. } => {
                 chk(*slot);
                 chk(*l);
                 chk(*r);
-            }
-            Insn::BinImmAssign { slot, l, .. } => {
-                chk(*slot);
-                chk(*l);
             }
             Insn::IndexBin {
                 dst, base, idx, r, ..
@@ -1118,9 +1071,7 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(*idx);
                 chk(*r);
             }
-            Insn::IndexBinImm { dst, base, idx, .. }
-            | Insn::IndexBinImmCoerce { dst, base, idx, .. }
-            | Insn::IndexCoerce { dst, base, idx, .. } => {
+            Insn::IndexCoerce { dst, base, idx, .. } => {
                 chk(*dst);
                 chk(*base);
                 chk(*idx);
@@ -1152,10 +1103,6 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(*slot);
                 chk(*l);
                 chk(*r);
-            }
-            Insn::F64BinImmAssign { slot, l, .. } => {
-                chk(*slot);
-                chk(*l);
             }
             Insn::F64Index { dst, base, idx, .. } => {
                 chk(*dst);
@@ -1804,14 +1751,9 @@ impl<'a> Compiler<'a> {
     }
 
     fn patch_jump(&mut self, at: usize, to: u32) {
-        match &mut self.code[at] {
-            Insn::Jump(t) => *t = to,
-            Insn::JumpIfFalse { target, .. }
-            | Insn::AndShort { target, .. }
-            | Insn::OrShort { target, .. } => *target = to,
-            Insn::ForTest { exit, .. } | Insn::WhileTest { exit, .. } => *exit = to,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+        *self.code[at]
+            .target_mut()
+            .expect("patching a non-jump instruction") = to;
     }
 
     // --------------------------------------------------------------

@@ -135,24 +135,6 @@ impl Profile {
         }
         self.kernel_flops as f64 / bytes as f64
     }
-
-    /// The loop with the largest inclusive cycle count.
-    pub fn hottest_loop(&self) -> Option<(NodeId, LoopStats)> {
-        self.loop_stats
-            .iter()
-            .max_by_key(|(id, s)| (s.cycles, std::cmp::Reverse(id.0)))
-            .map(|(id, s)| (*id, *s))
-    }
-
-    /// Fraction of total cycles spent in a given loop.
-    pub fn loop_share(&self, id: NodeId) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.loop_stats
-            .get(&id)
-            .map_or(0.0, |s| s.cycles as f64 / self.total_cycles as f64)
-    }
 }
 
 #[cfg(test)]
@@ -168,56 +150,6 @@ mod tests {
         assert!(p.kernel_arithmetic_intensity().is_infinite());
         p.kernel_bytes_loaded = 40;
         assert!((p.kernel_arithmetic_intensity() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hottest_loop_breaks_ties_deterministically() {
-        let mut p = Profile::default();
-        p.loop_stats.insert(
-            NodeId(1),
-            LoopStats {
-                entries: 1,
-                iterations: 5,
-                cycles: 100,
-            },
-        );
-        p.loop_stats.insert(
-            NodeId(2),
-            LoopStats {
-                entries: 1,
-                iterations: 5,
-                cycles: 100,
-            },
-        );
-        // Equal cycles: the lower node id (earlier in source) wins.
-        assert_eq!(p.hottest_loop().unwrap().0, NodeId(1));
-        p.loop_stats.insert(
-            NodeId(3),
-            LoopStats {
-                entries: 1,
-                iterations: 1,
-                cycles: 200,
-            },
-        );
-        assert_eq!(p.hottest_loop().unwrap().0, NodeId(3));
-    }
-
-    #[test]
-    fn loop_share_is_a_fraction() {
-        let mut p = Profile {
-            total_cycles: 200,
-            ..Default::default()
-        };
-        p.loop_stats.insert(
-            NodeId(7),
-            LoopStats {
-                entries: 1,
-                iterations: 1,
-                cycles: 50,
-            },
-        );
-        assert!((p.loop_share(NodeId(7)) - 0.25).abs() < 1e-12);
-        assert_eq!(p.loop_share(NodeId(99)), 0.0);
     }
 
     #[test]

@@ -243,17 +243,12 @@ fn transfer(insn: &Insn, st: &mut [Ty], call_rets: &[Ty]) {
         Insn::MathCall { dst, f, .. } => {
             w(st, *dst, if f.single { Ty::F32 } else { Ty::F64 });
         }
-        Insn::ForInit { slot, .. } | Insn::ForStep { slot, .. } => w(st, *slot, Ty::Int),
+        Insn::ForInit { slot, .. }
+        | Insn::ForStep { slot, .. }
+        | Insn::ForStepJump { slot, .. } => w(st, *slot, Ty::Int),
         // Superinstructions (pair-fusion runs before specialisation).
         Insn::BinAssign { op, slot, l, r, .. } => {
             let v = bin_result(*op, st[*l as usize], st[*r as usize]);
-            let t = assign_result(st[*slot as usize], v);
-            w(st, *slot, t);
-        }
-        Insn::BinImmAssign {
-            op, slot, l, imm, ..
-        } => {
-            let v = bin_result(*op, st[*l as usize], ty_of_value(imm));
             let t = assign_result(st[*slot as usize], v);
             w(st, *slot, t);
         }
@@ -263,17 +258,10 @@ fn transfer(insn: &Insn, st: &mut [Ty], call_rets: &[Ty]) {
             let t = bin_result(*op, elem_of(st[*base as usize]), st[*r as usize]);
             w(st, *dst, t);
         }
-        Insn::IndexBinImm {
-            op, dst, base, imm, ..
-        } => {
-            let t = bin_result(*op, elem_of(st[*base as usize]), ty_of_value(imm));
-            w(st, *dst, t);
-        }
         Insn::BinCoerce { dst, ty, .. }
         | Insn::BinImmCoerce { dst, ty, .. }
         | Insn::IndexCoerce { dst, ty, .. }
-        | Insn::IndexBinCoerce { dst, ty, .. }
-        | Insn::IndexBinImmCoerce { dst, ty, .. } => {
+        | Insn::IndexBinCoerce { dst, ty, .. } => {
             // The producer result is scalar or errors; the coercion fixes
             // the success tag entirely.
             w(st, *dst, coerce_result(*ty, Ty::Any));
@@ -308,9 +296,7 @@ fn transfer(insn: &Insn, st: &mut [Ty], call_rets: &[Ty]) {
         | Insn::F64BinImm { dst, .. }
         | Insn::F64Index { dst, .. }
         | Insn::F64MathCallImm { dst, .. } => w(st, *dst, Ty::Any),
-        Insn::F64BinAssign { slot, .. } | Insn::F64BinImmAssign { slot, .. } => {
-            w(st, *slot, Ty::Any)
-        }
+        Insn::F64BinAssign { slot, .. } => w(st, *slot, Ty::Any),
         Insn::F64Store { .. } => {}
         Insn::DeferredFor(d) => {
             for s in d.body.iter() {
@@ -329,11 +315,7 @@ fn transfer(insn: &Insn, st: &mut [Ty], call_rets: &[Ty]) {
         | Insn::ForTest { .. }
         | Insn::WhileTest { .. }
         | Insn::Raise(_)
-        | Insn::CmpBranch { .. }
-        | Insn::CmpImmBranch { .. }
-        | Insn::CmpWhile { .. }
-        | Insn::CmpImmWhile { .. }
-        | Insn::ForStepJump { .. } => {}
+        | Insn::CmpBranch { .. } => {}
     }
 }
 
@@ -357,14 +339,7 @@ fn analyze(
     while let Some(pc) = work.pop() {
         let mut st = state_at[pc].clone().expect("queued pc has a state");
         match &code[pc] {
-            Insn::Jump(t) => merge_into(&mut state_at, &mut work, *t as usize, &st),
             Insn::Ret { .. } | Insn::Raise(_) => {}
-            Insn::JumpIfFalse { target, .. }
-            | Insn::CmpBranch { target, .. }
-            | Insn::CmpImmBranch { target, .. } => {
-                merge_into(&mut state_at, &mut work, *target as usize, &st);
-                merge_into(&mut state_at, &mut work, pc + 1, &st);
-            }
             Insn::AndShort { dst, target, .. } | Insn::OrShort { dst, target, .. } => {
                 // The short-circuit edge writes the Bool result; the
                 // fall-through edge leaves `dst` untouched.
@@ -373,20 +348,16 @@ fn analyze(
                 merge_into(&mut state_at, &mut work, *target as usize, &taken);
                 merge_into(&mut state_at, &mut work, pc + 1, &st);
             }
-            Insn::ForTest { exit, .. }
-            | Insn::WhileTest { exit, .. }
-            | Insn::CmpWhile { exit, .. }
-            | Insn::CmpImmWhile { exit, .. } => {
-                merge_into(&mut state_at, &mut work, *exit as usize, &st);
-                merge_into(&mut state_at, &mut work, pc + 1, &st);
-            }
-            Insn::ForStepJump { slot, target, .. } => {
-                st[*slot as usize] = Ty::Int;
-                merge_into(&mut state_at, &mut work, *target as usize, &st);
-            }
             insn => {
+                // Every other edge carries the post-transfer state (only
+                // `ForStepJump` among the branches writes a register).
                 transfer(insn, &mut st, call_rets);
-                merge_into(&mut state_at, &mut work, pc + 1, &st);
+                if let Some(t) = insn.target() {
+                    merge_into(&mut state_at, &mut work, t as usize, &st);
+                }
+                if !matches!(insn, Insn::Jump(_) | Insn::ForStepJump { .. }) {
+                    merge_into(&mut state_at, &mut work, pc + 1, &st);
+                }
             }
         }
     }
@@ -538,25 +509,6 @@ fn rewrite(insn: Insn, st: &[Ty]) -> Insn {
             span,
             asg_span,
         },
-        Insn::BinImmAssign {
-            op,
-            slot,
-            l,
-            imm,
-            span,
-            asg_span,
-        } if is_f64_arith(op) && f64_at(l) && f64_at(slot) && imm_f64(&imm).is_some() => {
-            Insn::F64BinImmAssign {
-                op,
-                rev: false,
-                slot,
-                l,
-                imm_f64: imm_f64(&imm).expect("checked"),
-                imm,
-                span,
-                asg_span,
-            }
-        }
         Insn::Index {
             dst,
             base,

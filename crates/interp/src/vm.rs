@@ -591,15 +591,12 @@ impl Vm {
                 | Insn::StoreElem { .. }
                 | Insn::MathCall { .. }
                 | Insn::BinAssign { .. }
-                | Insn::BinImmAssign { .. }
                 | Insn::IndexBin { .. }
-                | Insn::IndexBinImm { .. }
                 | Insn::BinCoerce { .. }
                 | Insn::BinImmCoerce { .. }
                 | Insn::IndexCoerce { .. }
                 | Insn::MathCallCoerce { .. }
                 | Insn::IndexBinCoerce { .. }
-                | Insn::IndexBinImmCoerce { .. }
                 | Insn::BinImm2 { .. }
                 | Insn::MathCallImm { .. }) => step_arith(
                     insn, frame, profile, memory, costs, max_cycles, watch, spans,
@@ -610,7 +607,6 @@ impl Vm {
                 insn @ (Insn::F64Bin { .. }
                 | Insn::F64BinImm { .. }
                 | Insn::F64BinAssign { .. }
-                | Insn::F64BinImmAssign { .. }
                 | Insn::F64Index { .. }
                 | Insn::F64Store { .. }
                 | Insn::F64MathCallImm { .. }) => {
@@ -929,7 +925,7 @@ impl Vm {
 
                 // ----------------------------------------------------------
                 // Superinstructions. Each performs exactly the steps of the
-                // pair it replaced; the compare+branch forms collapse the two
+                // pair it replaced; the compare+branch form collapses the two
                 // cycle charges into one combined `charge()` (see
                 // `crate::peephole` for why that is exact).
                 // ----------------------------------------------------------
@@ -957,89 +953,6 @@ impl Vm {
                     )?;
                     if !b {
                         pc = *target as usize;
-                        continue;
-                    }
-                }
-                Insn::CmpImmBranch {
-                    op,
-                    l,
-                    imm,
-                    target,
-                    branch_cost,
-                    cmp_span,
-                    br_span,
-                } => {
-                    let lv = reg(frame, *l);
-                    let b = fused_cmp(
-                        profile,
-                        max_cycles,
-                        costs,
-                        *op,
-                        lv,
-                        *imm,
-                        *branch_cost,
-                        sp(spans, *cmp_span),
-                        sp(spans, *br_span),
-                    )?;
-                    if !b {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                Insn::CmpWhile {
-                    op,
-                    l,
-                    r,
-                    exit,
-                    branch_cost,
-                    cmp_span,
-                    br_span,
-                } => {
-                    let lv = reg(frame, *l);
-                    let rv = reg(frame, *r);
-                    let b = fused_cmp(
-                        profile,
-                        max_cycles,
-                        costs,
-                        *op,
-                        lv,
-                        rv,
-                        *branch_cost,
-                        sp(spans, *cmp_span),
-                        sp(spans, *br_span),
-                    )?;
-                    if b {
-                        loop_ctxs.last_mut().expect("open loop context").iters += 1;
-                    } else {
-                        pc = *exit as usize;
-                        continue;
-                    }
-                }
-                Insn::CmpImmWhile {
-                    op,
-                    l,
-                    imm,
-                    exit,
-                    branch_cost,
-                    cmp_span,
-                    br_span,
-                } => {
-                    let lv = reg(frame, *l);
-                    let b = fused_cmp(
-                        profile,
-                        max_cycles,
-                        costs,
-                        *op,
-                        lv,
-                        *imm,
-                        *branch_cost,
-                        sp(spans, *cmp_span),
-                        sp(spans, *br_span),
-                    )?;
-                    if b {
-                        loop_ctxs.last_mut().expect("open loop context").iters += 1;
-                    } else {
-                        pc = *exit as usize;
                         continue;
                     }
                 }
@@ -1132,7 +1045,6 @@ impl Vm {
                                     Insn::F64Bin { .. }
                                     | Insn::F64BinImm { .. }
                                     | Insn::F64BinAssign { .. }
-                                    | Insn::F64BinImmAssign { .. }
                                     | Insn::F64Index { .. }
                                     | Insn::F64Store { .. }
                                     | Insn::F64MathCallImm { .. } => step_spec(
@@ -1587,27 +1499,6 @@ fn step_arith(
             let cur = reg(frame, *slot);
             *reg_mut(frame, *slot) = ops::convert_assign(Some(cur), v, sp(spans, *asg_span))?;
         }
-        Insn::BinImmAssign {
-            op,
-            slot,
-            l,
-            imm,
-            span,
-            asg_span,
-        } => {
-            let lv = reg(frame, *l);
-            let v = ops::apply_binary(
-                &mut *profile,
-                max_cycles,
-                costs,
-                *op,
-                lv,
-                *imm,
-                sp(spans, *span),
-            )?;
-            let cur = reg(frame, *slot);
-            *reg_mut(frame, *slot) = ops::convert_assign(Some(cur), v, sp(spans, *asg_span))?;
-        }
         Insn::IndexBin {
             op,
             dst,
@@ -1642,43 +1533,6 @@ fn step_arith(
                 *op,
                 loaded,
                 rv,
-                sp(spans, *span),
-            )?;
-            *reg_mut(frame, *dst) = v;
-        }
-        Insn::IndexBinImm {
-            op,
-            dst,
-            base: b,
-            idx,
-            imm,
-            cost,
-            base_span,
-            index_span,
-            load_span,
-            span,
-        } => {
-            let base_v = reg(frame, *b);
-            let idx_v = reg(frame, *idx);
-            let loaded = index_load(
-                profile,
-                memory,
-                watch,
-                max_cycles,
-                base_v,
-                idx_v,
-                *cost,
-                sp(spans, *base_span),
-                sp(spans, *index_span),
-                sp(spans, *load_span),
-            )?;
-            let v = ops::apply_binary(
-                &mut *profile,
-                max_cycles,
-                costs,
-                *op,
-                loaded,
-                *imm,
                 sp(spans, *span),
             )?;
             *reg_mut(frame, *dst) = v;
@@ -1787,35 +1641,6 @@ fn step_arith(
             let v = binop!(op, loaded, reg(frame, *r), span);
             store_coerced!(dst, v, ty, co_span);
         }
-        Insn::IndexBinImmCoerce {
-            op,
-            dst,
-            base: b,
-            idx,
-            imm,
-            cost,
-            ty,
-            base_span,
-            index_span,
-            load_span,
-            span,
-            co_span,
-        } => {
-            let loaded = index_load(
-                profile,
-                memory,
-                watch,
-                max_cycles,
-                reg(frame, *b),
-                reg(frame, *idx),
-                *cost,
-                sp(spans, *base_span),
-                sp(spans, *index_span),
-                sp(spans, *load_span),
-            )?;
-            let v = binop!(op, loaded, *imm, span);
-            store_coerced!(dst, v, ty, co_span);
-        }
         Insn::BinImm2 {
             op1,
             op2,
@@ -1888,7 +1713,6 @@ fn step_arith(
         insn @ (Insn::F64Bin { .. }
         | Insn::F64BinImm { .. }
         | Insn::F64BinAssign { .. }
-        | Insn::F64BinImmAssign { .. }
         | Insn::F64Index { .. }
         | Insn::F64Store { .. }
         | Insn::F64MathCallImm { .. }) => step_spec(
@@ -2095,41 +1919,6 @@ fn step_spec(
                     *op,
                     lv,
                     rv,
-                    sp(spans, *span),
-                )?;
-                let cur = reg(frame, *slot);
-                *reg_mut(frame, *slot) = ops::convert_assign(Some(cur), v, sp(spans, *asg_span))?;
-            }
-        }
-        Insn::F64BinImmAssign {
-            op,
-            rev,
-            slot,
-            l,
-            imm,
-            imm_f64,
-            span,
-            asg_span,
-        } => {
-            let lv = reg(frame, *l);
-            if let (Value::Double(a), Value::Double(_)) = (lv, reg(frame, *slot)) {
-                pay!(if *op == BinOp::Div {
-                    costs.fp_div
-                } else {
-                    costs.fp_op
-                });
-                profile.flops += 1;
-                let (x, y) = if *rev { (*imm_f64, a) } else { (a, *imm_f64) };
-                *reg_mut(frame, *slot) = Value::Double(f64_arith!(*op, x, y));
-            } else {
-                let (a_v, b_v) = if *rev { (*imm, lv) } else { (lv, *imm) };
-                let v = ops::apply_binary(
-                    &mut *profile,
-                    max_cycles,
-                    costs,
-                    *op,
-                    a_v,
-                    b_v,
                     sp(spans, *span),
                 )?;
                 let cur = reg(frame, *slot);

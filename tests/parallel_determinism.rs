@@ -7,7 +7,9 @@
 use psaflow::benchsuite;
 use psaflow::core::context::psa_benchsuite_shim;
 use psaflow::core::flows::{full_psa_flow_cached_on, full_psa_flow_on};
-use psaflow::core::{trace, EvalCache, FlowEngine, FlowMode, PsaParams};
+use psaflow::core::trace::{self, TraceEvent};
+use psaflow::core::{EvalCache, FlowEngine, FlowMode, PsaParams};
+use psaflow::interp::Engine;
 use std::sync::Arc;
 
 fn params_for(b: &benchsuite::Benchmark) -> PsaParams {
@@ -86,33 +88,50 @@ fn parallel_engine_matches_sequential_on_all_benchmarks() {
 }
 
 /// The same sweep must hold under *both* interpreter engines. The engine
-/// default is process-global (`OnceLock`), so each engine gets a child
-/// process: re-run this test binary with `PSA_INTERP_ENGINE` pinned and
-/// only the ignored child test selected.
+/// default is process-global (`OnceLock`), so `dag_vs_sequential_child`
+/// covers this process's engine and a child process covers the other: this
+/// test binary re-run with `PSA_INTERP_ENGINE` pinned and only
+/// `dag_vs_sequential_child` selected.
 #[test]
 fn dag_determinism_holds_under_both_interp_engines() {
+    let other = match Engine::default_engine() {
+        Engine::Vm => "tree",
+        Engine::Tree => "vm",
+    };
     let exe = std::env::current_exe().expect("test binary path");
-    for engine in ["tree", "vm"] {
-        let status = std::process::Command::new(&exe)
-            .args([
-                "--exact",
-                "dag_vs_sequential_child",
-                "--include-ignored",
-                "--test-threads=1",
-            ])
-            .env("PSA_INTERP_ENGINE", engine)
-            .status()
-            .expect("spawn child sweep");
-        assert!(
-            status.success(),
-            "DAG determinism broke under the {engine} interp engine"
-        );
-    }
+    // Captured rather than inherited, so the child's report cannot
+    // interleave with this harness's own per-test lines.
+    let out = std::process::Command::new(&exe)
+        .args(["--exact", "dag_vs_sequential_child", "--test-threads=1"])
+        .env("PSA_INTERP_ENGINE", other)
+        .output()
+        .expect("spawn child sweep");
+    assert!(
+        out.status.success(),
+        "DAG determinism broke under the {other} interp engine:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
+/// The sweep under the interpreter engine this process resolved: the
+/// default in the main harness, the pinned one when spawned by
+/// `dag_determinism_holds_under_both_interp_engines` — which must be the
+/// engine actually in effect, or the child would re-check the default.
 #[test]
-#[ignore = "child of dag_determinism_holds_under_both_interp_engines"]
 fn dag_vs_sequential_child() {
+    let pinned = match std::env::var("PSA_INTERP_ENGINE").as_deref() {
+        Ok("tree") => Some(Engine::Tree),
+        Ok("vm") => Some(Engine::Vm),
+        _ => None,
+    };
+    if let Some(pinned) = pinned {
+        assert_eq!(
+            Engine::default_engine(),
+            pinned,
+            "pinned interp engine in effect"
+        );
+    }
     assert_dag_matches_sequential_reference();
 }
 
@@ -225,18 +244,18 @@ fn outcome_log_is_the_rendering_of_the_structured_trace() {
     )
     .unwrap();
     assert_eq!(outcome.log, trace::render_lines(&outcome.trace));
-    let json = trace::to_json(&outcome.trace);
     assert!(
-        json.starts_with('[') && json.ends_with(']'),
-        "JSON export well-formed"
+        outcome
+            .trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Task { wall_ns, .. } if *wall_ns > 0)),
+        "trace carries task spans with durations"
     );
     assert!(
-        json.contains("\"kind\":\"task\""),
-        "trace carries task spans"
-    );
-    assert!(
-        json.contains("\"kind\":\"branch\""),
+        outcome
+            .trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Branch { .. })),
         "trace carries branch events"
     );
-    assert!(json.contains("\"wall_ns\""), "task spans carry durations");
 }
