@@ -2,7 +2,7 @@
 //!
 //! The build container has no access to crates.io, so the workspace ships
 //! minimal in-tree stand-ins for its external dependencies (see
-//! `crates/compat/`). Nothing in the workspace performs real serde
+//! `compat/`). Nothing in the workspace performs real serde
 //! serialization — the derives are used as markers on data types — so the
 //! derive macros here expand to nothing. Swapping the `serde` entry in
 //! `[workspace.dependencies]` back to the registry restores the real

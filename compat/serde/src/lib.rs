@@ -4,9 +4,10 @@
 //! satisfies the workspace's `serde` dependency. The workspace only uses
 //! serde as *markers* (`#[derive(Serialize, Deserialize)]` on data types,
 //! no serializer is ever invoked), so the traits are blanket-implemented
-//! and the derives expand to nothing. Machine-readable export of flow
-//! traces is hand-rolled in `psaflow_core::trace` instead. Restoring the
-//! real serde is a one-line change in `[workspace.dependencies]`.
+//! and the derives expand to nothing. The JSON the workspace does write
+//! (Perfetto traces, forensic bundles, the `psa-serve` protocol, the
+//! `BENCH_*.json` records) goes through `psa_obs::json` instead. Restoring
+//! the real serde is a one-line change in `[workspace.dependencies]`.
 
 /// Marker stand-in for `serde::Serialize`.
 pub trait Serialize {}

@@ -15,9 +15,14 @@
 //!    (`build_graph`), both on the default engine. This guards the other
 //!    direction: graph scheduling must not make any real flow slower.
 //!
+//! Both claims are medians of paired dag/chain ratios
+//! (see [`psa_bench::measure`]).
+//!
 //! Run with: `cargo bench -p psa-bench --bench flow_dag_speedup`
 
 use psa_artisan::Ast;
+use psa_bench::measure::{num, paired, write_record, Summary, PAIRS};
+use psa_obs::json::Json;
 use psaflow_core::context::{FlowContext, PsaParams};
 use psaflow_core::flows::{build_flow, build_graph};
 use psaflow_core::{
@@ -25,9 +30,8 @@ use psaflow_core::{
     TaskClass,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const SAMPLES: usize = 5;
 /// Modeled device/toolchain round-trip per estimate (blocking, not CPU).
 const DEVICE_LATENCY_MS: u64 = 20;
 
@@ -42,13 +46,14 @@ const ESTIMATE_SRC: &str = "int main() {\
     return 0;\
 }";
 
-struct Prep;
-impl Module for Prep {
+/// A bookkeeping step that only logs its name.
+struct Step(&'static str);
+impl Module for Step {
     fn info(&self) -> ModuleInfo {
-        ModuleInfo::new("Prepare Estimates", TaskClass::Analysis, false)
+        ModuleInfo::new(self.0, TaskClass::Analysis, false)
     }
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
-        ctx.log("preparing device estimates");
+        ctx.log(self.0);
         Ok(())
     }
 }
@@ -75,17 +80,6 @@ impl Module for EstimateOnDevice {
     }
 }
 
-struct Collect;
-impl Module for Collect {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new("Collect Estimates", TaskClass::Analysis, false)
-    }
-    fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
-        ctx.log("collected device estimates");
-        Ok(())
-    }
-}
-
 const DEVICES: [DeviceKind; 5] = [
     DeviceKind::Epyc7543,
     DeviceKind::Gtx1080Ti,
@@ -94,177 +88,112 @@ const DEVICES: [DeviceKind; 5] = [
     DeviceKind::Stratix10,
 ];
 
-fn estimate_kernel() -> Arc<psa_minicpp::Module> {
-    Arc::new(psa_minicpp::parse_module(ESTIMATE_SRC, "estimate").expect("kernel parses"))
+/// One estimate module per device, sharing one parsed kernel.
+fn estimates() -> [EstimateOnDevice; 5] {
+    let kernel = psa_minicpp::parse_module(ESTIMATE_SRC, "estimate").expect("kernel parses");
+    let module = Arc::new(kernel);
+    DEVICES.map(|device| EstimateOnDevice {
+        device,
+        module: Arc::clone(&module),
+    })
 }
 
 /// The fan-out shape as a chain: estimates run one after another.
 fn fanout_chain() -> FlowGraph {
-    let kernel = estimate_kernel();
-    let mut flow = Flow::new("estimates").then(Prep);
-    for device in DEVICES {
-        flow = flow.then(EstimateOnDevice {
-            device,
-            module: Arc::clone(&kernel),
-        });
-    }
-    flow.then(Collect).graph()
+    let prep = Flow::new("estimates").then(Step("Prepare Estimates"));
+    let flow = estimates().into_iter().fold(prep, Flow::then);
+    flow.then(Step("Collect Estimates")).graph()
 }
 
-/// The same modules as a DAG: all five estimates depend only on `Prep`.
+/// The same modules as a DAG: all five estimates depend only on the prep.
 fn fanout_graph() -> FlowGraph {
-    let kernel = estimate_kernel();
     let mut b = GraphBuilder::new("estimates");
-    let prep = b.add(Prep);
-    let estimates: Vec<_> = DEVICES
-        .iter()
-        .map(|&device| {
-            b.add_after(
-                EstimateOnDevice {
-                    device,
-                    module: Arc::clone(&kernel),
-                },
-                &[prep],
-            )
-        })
-        .collect();
-    b.add_after(Collect, &estimates);
+    let prep = b.add(Step("Prepare Estimates"));
+    let estimates = estimates().map(|e| b.add_after(e, &[prep]));
+    b.add_after(Step("Collect Estimates"), &estimates);
     b.finish().expect("fan-out graph validates")
 }
 
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+/// A fresh flow context on `source` (built outside the timed region).
+fn context(source: &str, key: &str, params: &PsaParams) -> FlowContext {
+    FlowContext::new(
+        Ast::from_source(source, key).expect("flow source parses"),
+        params.clone(),
+    )
 }
 
-fn time_graph(engine: FlowEngine, graph: &FlowGraph) -> f64 {
-    let ctx = || {
-        FlowContext::new(
-            Ast::from_source("int main() { return 0; }", "t").unwrap(),
-            PsaParams::default(),
-        )
-    };
-    // Warmup (also validates the run).
-    engine.execute_graph(graph, &mut ctx()).expect("flow runs");
-    let samples = (0..SAMPLES)
-        .map(|_| {
-            let mut c = ctx();
-            let start = Instant::now();
-            engine.execute_graph(graph, &mut c).expect("flow runs");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    median_ms(samples)
-}
-
-struct AppRow {
-    key: String,
-    chain_ms: f64,
-    dag_ms: f64,
-}
-
-fn time_full_flow(bench: &psa_benchsuite::Benchmark, graph: &FlowGraph) -> f64 {
-    let params = PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: psaflow_core::context::psa_benchsuite_shim::ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
+/// The flow as a chain (side A) against its DAG form (side B).
+fn time_shapes(
+    (chain_engine, chain): (FlowEngine, &FlowGraph),
+    (dag_engine, dag): (FlowEngine, &FlowGraph),
+    setup: impl FnMut() -> FlowContext,
+) -> Summary {
+    paired(
+        setup,
+        |c| {
+            chain_engine.execute_graph(chain, c).expect("flow runs");
         },
-        ..PsaParams::default()
-    };
-    let ctx = || {
-        FlowContext::new(
-            Ast::from_source(&bench.source, &bench.key).expect("benchmark parses"),
-            params.clone(),
-        )
-    };
-    let engine = FlowEngine::parallel();
-    engine.execute_graph(graph, &mut ctx()).expect("flow runs");
-    let samples = (0..SAMPLES)
-        .map(|_| {
-            let mut c = ctx();
-            let start = Instant::now();
-            engine.execute_graph(graph, &mut c).expect("flow runs");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    median_ms(samples)
+        |c| {
+            dag_engine.execute_graph(dag, c).expect("flow runs");
+        },
+    )
+    .summary()
 }
 
 fn main() {
     // Fan-out: chain runs the five round-trips back to back; the DAG
     // overlaps them (workers pinned so the overlap is exercised even where
     // `available_parallelism` is 1 — the latency is blocking, not CPU).
-    let chain_ms = time_graph(FlowEngine::parallel(), &fanout_chain());
-    let dag_ms = time_graph(
-        FlowEngine::parallel().with_workers(DEVICES.len()),
-        &fanout_graph(),
+    let fanout = time_shapes(
+        (FlowEngine::parallel(), &fanout_chain()),
+        (
+            FlowEngine::parallel().with_workers(DEVICES.len()),
+            &fanout_graph(),
+        ),
+        || context("int main() { return 0; }", "t", &PsaParams::default()),
     );
-    let fanout_speedup = chain_ms / dag_ms;
-    println!(
-        "{:<22} {:>12} {:>12} {:>9}",
-        "shape", "chain ms", "dag ms", "speedup"
-    );
-    println!(
-        "{:<22} {:>12.3} {:>12.3} {:>8.2}x",
-        "estimate fan-out", chain_ms, dag_ms, fanout_speedup
-    );
+    let fanout_speedup = 1.0 / fanout.ratio_median;
 
     // Full flows: the DAG form must not be slower than the chain form.
+    let engine = FlowEngine::parallel();
+    let chain = build_flow(FlowMode::Uninformed).graph();
+    let dag = build_graph(FlowMode::Uninformed);
     let mut apps = Vec::new();
+    let mut max_full_ratio = 0.0f64;
     for bench in psa_benchsuite::all() {
-        let chain = build_flow(FlowMode::Uninformed).graph();
-        let dag = build_graph(FlowMode::Uninformed);
-        let chain_ms = time_full_flow(&bench, &chain);
-        let dag_ms = time_full_flow(&bench, &dag);
-        println!(
-            "{:<22} {:>12.3} {:>12.3} {:>8.2}x",
-            bench.key,
-            chain_ms,
-            dag_ms,
-            chain_ms / dag_ms
-        );
-        apps.push(AppRow {
-            key: bench.key.clone(),
-            chain_ms,
-            dag_ms,
+        let params = psa_bench::params_for(&bench);
+        let times = time_shapes((engine, &chain), (engine, &dag), || {
+            context(&bench.source, &bench.key, &params)
         });
+        max_full_ratio = max_full_ratio.max(times.ratio_median);
+        apps.push(Json::object([
+            ("key", bench.key.as_str().into()),
+            ("chain_ms", num(times.a_median, 3)),
+            ("dag_ms", num(times.b_median, 3)),
+            ("ratio", num(times.ratio_median, 3)),
+            ("paired", times.ratio_json("dag/chain")),
+        ]));
     }
-    let max_full_ratio = apps
-        .iter()
-        .map(|r| r.dag_ms / r.chain_ms)
-        .fold(0.0f64, f64::max);
 
-    // Machine-readable record (hand-formatted; the compat serde shim has no
-    // serializer for ad-hoc structs and this keeps the schema explicit).
-    let mut json = String::from("{\n  \"benchmark\": \"flow_dag_speedup\",\n");
-    json.push_str(&format!(
-        "  \"unit\": \"ms_median_of_{SAMPLES}_runs\",\n  \"device_latency_ms\": {DEVICE_LATENCY_MS},\n"
-    ));
-    json.push_str(&format!(
-        "  \"fanout\": {{\"chain_ms\": {chain_ms:.3}, \"dag_ms\": {dag_ms:.3}, \"speedup\": {fanout_speedup:.2}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"min_fanout_speedup\": {fanout_speedup:.2},\n  \"apps\": [\n"
-    ));
-    for (i, r) in apps.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"key\": \"{}\", \"chain_ms\": {:.3}, \"dag_ms\": {:.3}, \"ratio\": {:.3}}}{}\n",
-            r.key,
-            r.chain_ms,
-            r.dag_ms,
-            r.dag_ms / r.chain_ms,
-            if i + 1 < apps.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"max_full_ratio\": {max_full_ratio:.3}\n}}\n"
-    ));
-
-    // Workspace root = two levels above this crate's manifest.
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_dag.json");
-    std::fs::write(&path, json).expect("write BENCH_dag.json");
-    println!("wrote {path}");
+    write_record(
+        "dag",
+        "flow_dag_speedup",
+        "ms: per-shape median; speedup and ratio: median of per-pair dag/chain ratios",
+        Some(PAIRS),
+        vec![
+            ("device_latency_ms", DEVICE_LATENCY_MS.into()),
+            (
+                "fanout",
+                Json::object([
+                    ("chain_ms", num(fanout.a_median, 3)),
+                    ("dag_ms", num(fanout.b_median, 3)),
+                    ("speedup", num(fanout_speedup, 2)),
+                    ("paired", fanout.ratio_json("dag/chain")),
+                ]),
+            ),
+            ("min_fanout_speedup", num(fanout_speedup, 2)),
+            ("apps", Json::Array(apps)),
+            ("max_full_ratio", num(max_full_ratio, 3)),
+        ],
+    );
 }

@@ -3,81 +3,38 @@
 //! versus armed (span stack, ring journaling, span table) — measuring what
 //! `--recorder-dump=` costs while no dump is ever written.
 //!
-//! Hand-timed harness (`harness = false`): each sample is a cold
-//! `run_all_cached_on` with a fresh evaluation cache on the sequential
-//! engine (single-threaded, so medians are not scheduler noise). Emits
-//! machine-readable results to `BENCH_obs.json` at the workspace root; CI
-//! guards `overhead_pct <= 5`.
+//! One side of a pair is [`SWEEPS`] cold `run_all_cached_on` sweeps, each
+//! with a fresh evaluation cache on the sequential engine; the overhead is
+//! the median of the paired on/off ratios (see [`psa_bench::measure`]).
+//! Emits `BENCH_obs.json` at the workspace root; CI guards
+//! `overhead_pct <= 5`.
 //!
 //! Run with: `cargo bench -p psa-bench --bench obs_overhead`
 
+use psa_bench::measure::{num, paired, write_record, PAIRS};
 use psa_bench::run_all_cached_on;
 use psaflow_core::{EvalCache, FlowEngine};
 use std::sync::Arc;
-use std::time::Instant;
 
-const SAMPLES: usize = 15;
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-/// One cold sweep per repetition; a sample aggregates [`SWEEPS`] of them
-/// so single-sweep jitter (±15% on a busy box) averages down before the
-/// pair ratio is taken.
+/// Cold sweeps per side of a pair, so single-sweep jitter (±15% on a busy
+/// box) averages down before the pair ratio is taken.
 const SWEEPS: usize = 3;
 
-fn one_sweep(engine: FlowEngine) -> f64 {
-    psa_obs::recorder::reset();
-    let start = Instant::now();
-    let r = run_all_cached_on(engine, Arc::new(EvalCache::new())).expect("sweep runs");
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(r.len(), 5, "all five benchmarks produce rows");
-    elapsed
-}
-
-fn one_sample(engine: FlowEngine) -> f64 {
-    (0..SWEEPS).map(|_| one_sweep(engine)).sum::<f64>() / SWEEPS as f64
+fn sweeps(recorder: bool) {
+    psa_obs::recorder::set_enabled(recorder);
+    for _ in 0..SWEEPS {
+        psa_obs::recorder::reset();
+        let r = run_all_cached_on(FlowEngine::sequential(), Arc::new(EvalCache::new()))
+            .expect("sweep runs");
+        assert_eq!(r.len(), 5, "all five benchmarks produce rows");
+    }
 }
 
 fn main() {
-    let engine = FlowEngine::sequential();
-    // Warmup both legs (also validates the runs).
-    psa_obs::recorder::set_enabled(false);
-    one_sweep(engine);
-    psa_obs::recorder::set_enabled(true);
-    one_sweep(engine);
-
-    // Machine load on a shared box drifts on timescales far longer than
-    // one ~80 ms sweep, so absolute medians (or even minima) of separately
-    // run legs swing by ±10%. Two *adjacent* sweeps, however, see the same
-    // load — so the overhead is estimated as the median of per-pair
-    // on/off ratios, with the in-pair order alternating to cancel any
-    // systematic first/second-run effect.
-    let mut off = Vec::with_capacity(SAMPLES);
-    let mut on = Vec::with_capacity(SAMPLES);
-    let mut pair_pct = Vec::with_capacity(SAMPLES);
-    for i in 0..SAMPLES {
-        let (o, r) = if i % 2 == 0 {
-            psa_obs::recorder::set_enabled(false);
-            let o = one_sample(engine);
-            psa_obs::recorder::set_enabled(true);
-            (o, one_sample(engine))
-        } else {
-            psa_obs::recorder::set_enabled(true);
-            let r = one_sample(engine);
-            psa_obs::recorder::set_enabled(false);
-            (one_sample(engine), r)
-        };
-        off.push(o);
-        on.push(r);
-        pair_pct.push((r / o - 1.0) * 100.0);
-        if std::env::var_os("OBS_BENCH_VERBOSE").is_some() {
-            eprintln!("pair {i}: off {o:.3} on {r:.3} -> {:+.2}%", pair_pct[i]);
-        }
-    }
-    // Events journaled by the last recorded sweep (ring residue + evicted).
+    let times = paired(|| (), |_| sweeps(false), |_| sweeps(true)).summary();
+    // Events journaled by one more, untimed, recorded sweep (ring residue +
+    // evicted), whichever side the last pair ran second.
+    sweeps(true);
     let snapshot = psa_obs::recorder::snapshot();
     let events_recorded: u64 = snapshot
         .workers
@@ -86,28 +43,18 @@ fn main() {
         .sum();
     psa_obs::recorder::set_enabled(false);
 
-    let baseline_ms = median(off);
-    let recorder_ms = median(on);
-    let overhead_pct = median(pair_pct);
-    println!("{:<10} {:>12} {:>12}", "recorder", "sweep ms", "overhead %");
-    println!("{:<10} {baseline_ms:>12.3} {:>+12.2}", "off", 0.0);
-    println!("{:<10} {recorder_ms:>12.3} {overhead_pct:>+12.2}", "on");
-    println!("events recorded per sweep: {events_recorded}");
-
-    // Machine-readable record (hand-formatted; the compat serde shim has no
-    // serializer for ad-hoc structs and this keeps the schema explicit).
-    let json = format!(
-        "{{\n  \"benchmark\": \"obs_overhead\",\n  \
-         \"unit\": \"median_pct_of_{SAMPLES}_paired_cold_sequential_sweeps\",\n  \
-         \"baseline_ms\": {baseline_ms:.3},\n  \
-         \"recorder_ms\": {recorder_ms:.3},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"events_recorded\": {events_recorded}\n}}\n"
+    write_record(
+        "obs",
+        "obs_overhead",
+        "ms: per-side median of cold sequential sweeps; overhead_pct: median of per-pair on/off ratios",
+        Some(PAIRS),
+        vec![
+            ("sweeps_per_side", SWEEPS.into()),
+            ("baseline_ms", num(times.a_median / SWEEPS as f64, 3)),
+            ("recorder_ms", num(times.b_median / SWEEPS as f64, 3)),
+            ("overhead_pct", num((times.ratio_median - 1.0) * 100.0, 2)),
+            ("paired", times.ratio_json("on/off")),
+            ("events_recorded", events_recorded.into()),
+        ],
     );
-
-    // Workspace root = two levels above this crate's manifest.
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_obs.json");
-    std::fs::write(&path, json).expect("write BENCH_obs.json");
-    println!("wrote {path}");
 }

@@ -2,14 +2,15 @@
 //! seeded no-fault, no-deadline job stream from three tenants, measured
 //! wall-clock from first submission to the last result.
 //!
-//! Hand-timed harness (`harness = false`): throughput is jobs/s over the
-//! whole session; latency quantiles come from the service's own
-//! `psa_serve_exec_ms` histogram (psa-obs log₂ buckets). Emits
-//! machine-readable results to `BENCH_serve.json` at the workspace root;
-//! CI guards a conservative throughput floor.
+//! One session, not paired: throughput is jobs/s over the whole session;
+//! latency quantiles come from the service's own `psa_serve_exec_ms`
+//! histogram (psa-obs log₂ buckets). Emits `BENCH_serve.json` at the
+//! workspace root through [`psa_bench::measure::write_record`]; CI guards a
+//! conservative throughput floor.
 //!
 //! Run with: `cargo bench -p psa-bench --bench serve_throughput`
 
+use psa_bench::measure::{num, write_record};
 use psa_serve::loadgen::{generate, LoadConfig};
 use psa_serve::{JobStatus, Request, Response, Server, ServerConfig, TenantPolicy};
 use std::time::Instant;
@@ -65,28 +66,20 @@ fn main() {
         other => panic!("drain must ack, got {other:?}"),
     }
 
-    let throughput = JOBS as f64 / elapsed_s;
     let exec = psa_obs::global().histogram("psa_serve_exec_ms", &[]);
-    let p50 = exec.quantile(0.50).unwrap_or(0.0);
-    let p99 = exec.quantile(0.99).unwrap_or(0.0);
-    println!(
-        "{JOBS} jobs on {WORKERS} workers in {elapsed_s:.3} s = {throughput:.1} jobs/s \
-         (exec p50 {p50:.1} ms, p99 {p99:.1} ms)"
+    let exec_ms = |q| num(exec.quantile(q).unwrap_or(0.0), 1);
+    write_record(
+        "serve",
+        "serve_throughput",
+        "one session: wall clock from the first submission to the last result",
+        None,
+        vec![
+            ("jobs", JOBS.into()),
+            ("workers", WORKERS.into()),
+            ("elapsed_s", num(elapsed_s, 3)),
+            ("throughput_jobs_per_s", num(JOBS as f64 / elapsed_s, 1)),
+            ("exec_ms_p50", exec_ms(0.50)),
+            ("exec_ms_p99", exec_ms(0.99)),
+        ],
     );
-
-    // Machine-readable record (hand-formatted; the compat serde shim has no
-    // serializer for ad-hoc structs and this keeps the schema explicit).
-    let json = format!(
-        "{{\n  \"benchmark\": \"serve_throughput\",\n  \"jobs\": {JOBS},\n  \
-         \"workers\": {WORKERS},\n  \"elapsed_s\": {elapsed_s:.3},\n  \
-         \"throughput_jobs_per_s\": {throughput:.1},\n  \
-         \"exec_ms_p50\": {p50:.1},\n  \"exec_ms_p99\": {p99:.1}\n}}\n"
-    );
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = format!("{root}/BENCH_serve.json");
-    if let Err(e) = std::fs::write(&path, json) {
-        eprintln!("serve_throughput: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
 }

@@ -10,9 +10,11 @@
 //! | Table II | `table2` | the related-work capability matrix |
 //!
 //! The library half hosts the shared runner: apply the full PSA-flow (both
-//! modes) to each of the five benchmarks and collect measured speedups.
+//! modes) to each of the five benchmarks and collect measured speedups,
+//! and [`measure`], the sampler and record writer of the benches.
 
 pub mod faultargs;
+pub mod measure;
 pub mod obsout;
 
 use psa_benchsuite::{Benchmark, ScaleFactors};

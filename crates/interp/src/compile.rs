@@ -869,14 +869,12 @@ impl Program {
         }
 
         let spans = spans.spans;
-        verify_code(
-            &globals_init,
-            globals_init_regs,
-            &call_sites,
-            global_names.len(),
-        );
+        let verify = |code: &[Insn], regs| {
+            verify_code(code, code.len(), regs, &call_sites, global_names.len())
+        };
+        verify(&globals_init, globals_init_regs);
         for f in &funcs {
-            verify_code(&f.code, f.regs, &call_sites, global_names.len());
+            verify(&f.code, f.regs);
         }
 
         Program {
@@ -931,12 +929,22 @@ impl Program {
 }
 
 /// Verify that every register (and global-slot) operand of every
-/// instruction addresses a slot inside a frame of `nregs` registers. The
-/// VM dispatch loop reads frame registers without per-access bounds checks
-/// on the strength of this check, so it runs unconditionally — it is
-/// linear in code size and a negligible fraction of compile time. Any
+/// instruction addresses a slot inside a frame of `nregs` registers, and
+/// that every jump target lands on an instruction of the chunk: below
+/// `jump_len`, which is the chunk's length, or 0 inside the straight-line
+/// interiors of `ArithBlock`s and deferred loops, which may not jump. (Every
+/// chunk ends in a `Ret`, so the compiler never targets the end itself.)
+/// The VM dispatch loop reads frame registers without per-access bounds
+/// checks on the strength of this check, so it runs unconditionally — it
+/// is linear in code size and a negligible fraction of compile time. Any
 /// violation is a compiler bug and panics immediately.
-fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_count: usize) {
+fn verify_code(
+    code: &[Insn],
+    jump_len: usize,
+    nregs: usize,
+    call_sites: &[CallSite],
+    global_count: usize,
+) {
     let chk = |r: u16| {
         assert!(
             (r as usize) < nregs,
@@ -950,6 +958,12 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
         )
     };
     for insn in code {
+        if let Some(t) = insn.target() {
+            assert!(
+                (t as usize) < jump_len,
+                "jump target {t} outside a chunk of {jump_len}: compiler bug"
+            );
+        }
         match insn {
             Insn::Const { dst, .. } => chk(*dst),
             Insn::Copy { dst, src } => {
@@ -1089,7 +1103,7 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(*dst);
                 chk(*l);
             }
-            Insn::ArithBlock(steps) => verify_code(steps, nregs, call_sites, global_count),
+            Insn::ArithBlock(steps) => verify_code(steps, 0, nregs, call_sites, global_count),
             Insn::F64Bin { dst, l, r, .. } => {
                 chk(*dst);
                 chk(*l);
@@ -1117,7 +1131,7 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(d.slot);
                 chk(d.bound);
                 chk(d.step);
-                verify_code(&d.body, nregs, call_sites, global_count);
+                verify_code(&d.body, 0, nregs, call_sites, global_count);
             }
         }
     }
@@ -2051,5 +2065,25 @@ impl<'a> Compiler<'a> {
             first_arg,
         });
         dst
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // Every compiled program passes `verify_code`, so these feed it the
+    // two shapes the compiler never emits.
+
+    #[test]
+    #[should_panic(expected = "jump target 2 outside a chunk of 2: compiler bug")]
+    fn out_of_range_jump_target_trips_the_verifier() {
+        verify_code(&[Insn::Jump(1), Insn::Jump(2)], 2, 1, &[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "jump target 0 outside a chunk of 0: compiler bug")]
+    fn a_jump_inside_a_straight_line_block_trips_the_verifier() {
+        verify_code(&[Insn::ArithBlock(Box::new([Insn::Jump(0)]))], 1, 1, &[], 0);
     }
 }

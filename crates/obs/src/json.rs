@@ -1,13 +1,18 @@
-//! A minimal JSON parser for validating emitted artefacts.
+//! A minimal JSON reader and writer.
 //!
 //! The workspace's `serde` dependency is a marker-only compat shim (see
-//! `compat/serde`), so tests that want to *read back* the JSON the
-//! exporters produce need a parser. This one is deliberately small:
-//! full JSON syntax, objects as ordered pairs (no map semantics), numbers
-//! as `f64`. It exists for validation — tests, CI helpers — not as a
-//! general-purpose serialisation layer.
+//! `compat/serde`), so JSON is read and written here. Both halves are
+//! deliberately small: full JSON syntax, objects as ordered pairs (no map
+//! semantics), numbers as `f64`. The parser validates emitted artefacts in
+//! tests and CI helpers; the writer side is [`write_str`], the one string
+//! escaper of every hand-rolled emitter (Perfetto traces, forensic bundles,
+//! the `psa-serve` protocol), and [`Json`]'s `Display`, which renders the
+//! committed `BENCH_*.json` records. `parse(&v.to_string()) == v` holds for
+//! every value with finite numbers.
 
-/// A parsed JSON value.
+use std::fmt::{self, Write as _};
+
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -61,6 +66,115 @@ impl Json {
             Json::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+}
+
+/// Append `text` as a JSON string literal: quotes, `"` and `\\` escaped,
+/// `\n`/`\r`/`\t` by name, other characters below U+0020 as `\u00XX`,
+/// everything else verbatim.
+pub fn write_str(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<'k>(pairs: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Append this value's JSON text to `out`: each member of the two
+    /// outermost containers goes on its own indented line, and anything
+    /// deeper stays on that line.
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // `Display` for `f64` is the shortest text that parses back to
+            // the same value, and never uses an exponent.
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(out, s),
+            Json::Array(items) => {
+                let members = items.iter().map(|v| (None, v));
+                write_members(out, ('[', ']'), members, depth)
+            }
+            Json::Object(pairs) => {
+                let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_members(out, ('{', '}'), members, depth)
+            }
+        }
+    }
+}
+
+fn write_members<'a>(
+    out: &mut String,
+    (open, close): (char, char),
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+    depth: usize,
+) {
+    let broken = depth < 2 && members.len() > 0;
+    out.push(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push_str(if broken { "," } else { ", " });
+        }
+        if broken {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth + 1));
+        }
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, depth + 1);
+    }
+    if broken {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
+}
+
+/// JSON text in the line-broken layout of the committed `BENCH_*.json`
+/// records.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        f.write_str(&out)
+    }
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+from_number!(u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
     }
 }
 
@@ -292,6 +406,13 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn write_str_escapes_exactly_these_bytes() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"\\/\n\r\t\u{1}\u{1f}\u{7f}é");
+        assert_eq!(out, "\"a\\\"\\\\/\\n\\r\\t\\u0001\\u001f\u{7f}é\"");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * [`perfetto`] — a Chrome `trace_event` builder ([`perfetto::TraceBuilder`])
 //!   serialising begin/end spans and instant events into a
 //!   `chrome://tracing` / Perfetto-loadable JSON file;
-//! * [`json`] — a minimal JSON parser so tests can validate the emitted
-//!   artefacts without an external serde (the workspace's `serde` compat
-//!   shim is marker-only).
+//! * [`json`] — a minimal JSON reader and writer: the parser tests use to
+//!   validate the emitted artefacts, and the one string escaper and value
+//!   renderer the emitters share (the workspace's `serde` compat shim is
+//!   marker-only).
 //!
 //! ## Pay-for-what-you-use
 //!

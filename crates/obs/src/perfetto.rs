@@ -14,6 +14,7 @@
 //! three decimal places (the `ts` unit of the trace_event format is µs),
 //! so nanosecond precision survives the export exactly.
 
+use crate::json::write_str;
 use std::fmt::Write as _;
 
 /// A typed event argument value.
@@ -169,7 +170,7 @@ impl TraceBuilder {
             out.push_str("{\"ph\":\"");
             out.push(e.ph);
             out.push_str("\",\"name\":");
-            write_json_str(&mut out, &e.name);
+            write_str(&mut out, &e.name);
             let _ = write!(
                 out,
                 ",\"pid\":{},\"tid\":{},\"ts\":{}",
@@ -187,7 +188,7 @@ impl TraceBuilder {
                     if j > 0 {
                         out.push(',');
                     }
-                    write_json_str(&mut out, k);
+                    write_str(&mut out, k);
                     out.push(':');
                     write_arg(&mut out, v);
                 }
@@ -207,7 +208,7 @@ fn format_ts_us(ts_ns: u64) -> String {
 
 fn write_arg(out: &mut String, v: &ArgValue) {
     match v {
-        ArgValue::Str(s) => write_json_str(out, s),
+        ArgValue::Str(s) => write_str(out, s),
         ArgValue::U64(n) => {
             let _ = write!(out, "{n}");
         }
@@ -222,24 +223,6 @@ fn write_arg(out: &mut String, v: &ArgValue) {
             let _ = write!(out, "{b}");
         }
     }
-}
-
-pub(crate) fn write_json_str(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -36,7 +36,8 @@
 //! the same flow produce byte-identical bundles once wall-clock fields are
 //! zeroed — a tier-1 test holds this honest.
 
-use crate::perfetto::{write_json_str, ArgValue, TraceBuilder};
+use crate::json::write_str;
+use crate::perfetto::{ArgValue, TraceBuilder};
 use crate::span::SpanCtx;
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -645,7 +646,7 @@ pub fn render_bundle(s: &Snapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        write_json_str(&mut out, t);
+        write_str(&mut out, t);
     }
     out.push(']');
     let _ = write!(out, ",\"dropped_spans\":{}", s.dropped_spans);
@@ -659,7 +660,7 @@ pub fn render_bundle(s: &Snapshot) -> String {
             "{{\"trace\":\"{:016x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\"label\":",
             sp.ctx.trace_id, sp.ctx.span_id, sp.ctx.parent_id
         );
-        write_json_str(&mut out, &sp.label);
+        write_str(&mut out, &sp.label);
         let _ = write!(out, ",\"worker\":{}}}", sp.worker);
     }
     out.push_str("],\"workers\":[");
@@ -696,7 +697,7 @@ fn write_event(out: &mut String, e: &Event) {
     );
     let field = |out: &mut String, key: &str, value: &str| {
         let _ = write!(out, ",\"{key}\":");
-        write_json_str(out, value);
+        write_str(out, value);
     };
     match &e.kind {
         EventKind::SpanOpen { label } => field(out, "label", label),

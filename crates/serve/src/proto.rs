@@ -32,6 +32,7 @@
 //! given submission stream admits, rejects and deadline-expires the exact
 //! same jobs on every run and every machine.
 
+use psa_obs::json::{parse, write_str, Json};
 use psaflow_core::{FlowMode, FlowOutcome};
 
 /// Maximum accepted line length (1 MiB): a framing backstop so one
@@ -306,29 +307,10 @@ pub enum Response {
 // ---------------------------------------------------------------------------
 // encoding
 
-/// Append `text` as a JSON string literal (quotes + escapes).
-pub fn push_json_str(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_kv_str(out: &mut String, key: &str, val: &str) {
-    push_json_str(out, key);
+    write_str(out, key);
     out.push(':');
-    push_json_str(out, val);
+    write_str(out, val);
 }
 
 /// Encode a request as one line of JSON (no trailing newline).
@@ -479,7 +461,7 @@ pub fn render_outcome(o: &FlowOutcome) -> String {
     s.push_str(&format!(",\"reference_time_s\":{}", o.reference_time_s));
     s.push_str(",\"selected_target\":");
     match &o.selected_target {
-        Some(t) => push_json_str(&mut s, t.label()),
+        Some(t) => write_str(&mut s, t.label()),
         None => s.push_str("null"),
     }
     s.push_str(",\"designs\":[");
@@ -503,7 +485,7 @@ pub fn render_outcome(o: &FlowOutcome) -> String {
             if j > 0 {
                 s.push(',');
             }
-            push_json_str(&mut s, n);
+            write_str(&mut s, n);
         }
         s.push_str("],");
         push_kv_str(&mut s, "source", &d.source);
@@ -528,8 +510,6 @@ pub fn render_outcome(o: &FlowOutcome) -> String {
 
 // ---------------------------------------------------------------------------
 // decoding
-
-use psa_obs::json::{parse, Json};
 
 fn req_str(obj: &Json, field: &'static str) -> Result<String, ProtoError> {
     let v = obj.get(field).ok_or(ProtoError::MissingField { field })?;
