@@ -11,10 +11,9 @@
 //! the same allocation.
 
 use psa_interp::{Pointer, Profile};
-use serde::{Deserialize, Serialize};
 
 /// A pair of kernel pointer parameters observed sharing an allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AliasPair {
     pub param_a: String,
     pub param_b: String,
@@ -23,7 +22,7 @@ pub struct AliasPair {
 }
 
 /// The alias report for a kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AliasReport {
     /// True if any two pointer parameters may reference overlapping memory.
     pub may_alias: bool,

@@ -9,10 +9,9 @@
 
 use psa_interp::memory::AccessRange;
 use psa_interp::{Memory, Profile};
-use serde::{Deserialize, Serialize};
 
 /// Per-buffer footprint of the kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferTraffic {
     /// Human-readable buffer label (`heap#1`, local array name, …).
     pub label: String,
@@ -26,7 +25,7 @@ pub struct BufferTraffic {
 }
 
 /// Whole-kernel data movement report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataMovementReport {
     pub buffers: Vec<BufferTraffic>,
     /// Total host→device bytes per kernel invocation set.

@@ -17,11 +17,10 @@
 use crate::AnalysisError;
 use psa_artisan::query;
 use psa_minicpp::ast::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Kinds of loop-carried dependence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepKind {
     /// Accumulation into a fixed location (`s += …`, `a[k] += …`) —
     /// removable by reduction handling.
@@ -31,7 +30,7 @@ pub enum DepKind {
 }
 
 /// One detected dependence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependence {
     pub kind: DepKind,
     /// Human-readable description, e.g. ``array `fx` accumulated at
@@ -40,7 +39,7 @@ pub struct Dependence {
 }
 
 /// Per-loop dependence verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopDep {
     /// The loop's [`ForLoop`] node id.
     pub id: NodeId,
@@ -58,7 +57,7 @@ pub struct LoopDep {
 }
 
 /// Whole-kernel dependence report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceReport {
     /// Loops in source order.
     pub loops: Vec<LoopDep>,

@@ -27,11 +27,10 @@ use psa_artisan::transforms::extract::{extract_kernel, ExtractedKernel};
 use psa_interp::{LoopStats, LoopWatch, LoopWindow, ProfiledRun, RunConfig, Value, WatchedLoop};
 use psa_minicpp::ast::StmtKind;
 use psa_minicpp::{Module, NodeId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One timed candidate loop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotspotCandidate {
     /// Statement id of the loop in the *original* module.
     pub stmt_id: NodeId,
@@ -48,7 +47,7 @@ pub struct HotspotCandidate {
 /// What the detection run observed inside the hottest loop: the dynamic
 /// facts a function watch of the kernel that outlines the loop would
 /// record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotLoopWindow {
     /// Virtual cycles inside the loop.
     pub cycles: u64,
@@ -68,7 +67,7 @@ pub struct HotLoopWindow {
 }
 
 /// The hotspot detection report: candidates sorted hottest-first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotspotReport {
     pub candidates: Vec<HotspotCandidate>,
     /// Total program cycles of the detection run.

@@ -11,7 +11,6 @@
 use crate::AnalysisError;
 use psa_artisan::sym::{function_symbols, SymbolTable};
 use psa_minicpp::ast::*;
-use serde::{Deserialize, Serialize};
 
 /// Weight assumed for loops whose trip count is unknown statically.
 pub const DYNAMIC_TRIP_WEIGHT: f64 = 1024.0;
@@ -22,7 +21,7 @@ const TRANSCENDENTAL_FLOPS: f64 = 8.0;
 const SQRT_FLOPS: f64 = 4.0;
 
 /// The intensity report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntensityReport {
     /// Estimated FLOP-equivalents per kernel execution.
     pub flops: f64,

@@ -33,12 +33,11 @@ use hotspot::HotLoopWindow;
 use psa_evalcache::{CacheKey, EvalCache, KeyBuilder};
 use psa_interp::{Memory, Profile, ProfiledRun, RunConfig};
 use psa_minicpp::Module;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Aggregated evidence about an extracted kernel, produced by running every
 /// target-independent analysis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelAnalysis {
     /// Kernel function name.
     pub kernel: String,

@@ -9,10 +9,9 @@
 use psa_artisan::query;
 use psa_interp::{LoopStats, Profile};
 use psa_minicpp::{Module, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Observed behaviour of one loop in the kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopTrips {
     /// [`psa_minicpp::ForLoop`] node id.
     pub id: NodeId,
@@ -29,7 +28,7 @@ pub struct LoopTrips {
 }
 
 /// Whole-kernel trip-count report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TripCountReport {
     /// Kernel loops in source order.
     pub loops: Vec<LoopTrips>,

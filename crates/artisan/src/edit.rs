@@ -126,11 +126,6 @@ pub fn replace_stmt(
     })
 }
 
-/// Remove and return the statement `target`.
-pub fn take_stmt(module: &mut Module, target: NodeId) -> Result<Stmt, EditError> {
-    with_containing_block(module, target, |block, idx, _| block.stmts.remove(idx))
-}
-
 /// Attach a pragma line above the statement `target` — the core
 /// instrumentation primitive (`#pragma unroll $n`, `omp parallel for`, …).
 pub fn add_pragma(

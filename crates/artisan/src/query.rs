@@ -202,31 +202,6 @@ fn contains_stmt(block: &Block, id: NodeId) -> bool {
     })
 }
 
-/// Names of all functions called within a subtree (direct calls only).
-pub fn called_functions(block: &Block) -> Vec<String> {
-    use psa_minicpp::visit::{self, Visit};
-    struct Calls {
-        seen: HashSet<String>,
-        order: Vec<String>,
-    }
-    impl Visit for Calls {
-        fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Call { callee, .. } = &e.kind {
-                if self.seen.insert(callee.clone()) {
-                    self.order.push(callee.clone());
-                }
-            }
-            visit::walk_expr(self, e);
-        }
-    }
-    let mut c = Calls {
-        seen: HashSet::new(),
-        order: Vec::new(),
-    };
-    c.visit_block(block);
-    c.order
-}
-
 /// The free variables of loop `l` in `module`: every name the loop uses
 /// that it does not declare itself and that is not a module global, in
 /// order of first appearance (header, then body). Outlining the loop
@@ -427,17 +402,6 @@ mod tests {
         let all = loops(&m, |_| true);
         assert_eq!(enclosing_function(&m, all[0].stmt_id).unwrap().name, "knl");
         assert_eq!(enclosing_function(&m, all[2].stmt_id).unwrap().name, "main");
-    }
-
-    #[test]
-    fn called_functions_in_order() {
-        let m = parse_module(
-            "void f(double* a) { a[0] = sqrt(2.0) + sqrt(3.0); g(); } void g() { }",
-            "t",
-        )
-        .unwrap();
-        let calls = called_functions(&m.function("f").unwrap().body);
-        assert_eq!(calls, vec!["sqrt".to_string(), "g".to_string()]);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! wall-clock from first submission to the last result.
 //!
 //! One session, not paired: throughput is jobs/s over the whole session;
-//! latency quantiles come from the service's own `psa_serve_exec_ms`
-//! histogram (psa-obs log₂ buckets). Emits `BENCH_serve.json` at the
-//! workspace root through [`psa_bench::measure::write_record`]; CI guards a
-//! conservative throughput floor.
+//! latency quantiles come from the service's own `psa_serve_exec_us`
+//! histogram (psa-obs log₂ buckets), reported in milliseconds. Emits
+//! `BENCH_serve.json` at the workspace root through
+//! [`psa_bench::measure::write_record`]; CI guards a conservative
+//! throughput floor and a nonzero median.
 //!
 //! Run with: `cargo bench -p psa-bench --bench serve_throughput`
 
@@ -66,8 +67,8 @@ fn main() {
         other => panic!("drain must ack, got {other:?}"),
     }
 
-    let exec = psa_obs::global().histogram("psa_serve_exec_ms", &[]);
-    let exec_ms = |q| num(exec.quantile(q).unwrap_or(0.0), 1);
+    let exec = psa_obs::global().histogram("psa_serve_exec_us", &[]);
+    let exec_ms = |q| num(exec.quantile(q).unwrap_or(0.0) / 1000.0, 3);
     write_record(
         "serve",
         "serve_throughput",

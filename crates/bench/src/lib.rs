@@ -23,11 +23,10 @@ use psaflow_core::flows::full_psa_flow_cached_on;
 use psaflow_core::{
     DeviceKind, EvalCache, FlowEngine, FlowMode, FlowOutcome, PsaParams, TargetKind,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Measured counterpart of one Fig. 5 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeasuredRow {
     pub key: String,
     pub name: String,
@@ -61,26 +60,11 @@ fn shim(s: ScaleFactors) -> psa_benchsuite_shim::ScaleFactors {
 }
 
 /// Run the uninformed flow (all design versions) and the informed decision
-/// for one benchmark; collect speedups per device.
-pub fn run_benchmark(bench: &Benchmark) -> Result<(MeasuredRow, FlowOutcome), String> {
-    run_benchmark_on(FlowEngine::default(), bench)
-}
-
-/// [`run_benchmark`] on a caller-chosen engine. The two flow modes fan out
-/// through [`FlowEngine::fan_out`]: concurrently on the parallel engine,
-/// in order on the calling thread on the sequential one.
-pub fn run_benchmark_on(
-    engine: FlowEngine,
-    bench: &Benchmark,
-) -> Result<(MeasuredRow, FlowOutcome), String> {
-    run_benchmark_cached_on(engine, bench, Arc::new(EvalCache::new()))
-}
-
-/// [`run_benchmark_on`] with a caller-provided evaluation cache. Both flow
-/// modes share the cache, so the uninformed sweep hits the profiled runs
-/// and model estimates the informed flow already paid for (and vice
-/// versa); outputs are identical either way.
-pub fn run_benchmark_cached_on(
+/// for one benchmark; collect speedups per device. The two flow modes fan
+/// out through [`FlowEngine::fan_out`] and share `cache`, so the uninformed
+/// sweep hits the profiled runs and model estimates the informed flow
+/// already paid for (and vice versa); outputs are identical either way.
+fn run_benchmark_cached_on(
     engine: FlowEngine,
     bench: &Benchmark,
     cache: Arc<EvalCache>,
@@ -128,16 +112,10 @@ pub fn run_benchmark_cached_on(
     Ok((row, uninformed))
 }
 
-/// Run all five benchmarks on the default (parallel) engine; every flow
-/// execution is independent. Results are collected in benchmark order, so
-/// the produced rows are identical to a sequential sweep.
-pub fn run_all() -> Result<Vec<(MeasuredRow, FlowOutcome)>, String> {
-    run_all_on(FlowEngine::default())
-}
-
-/// [`run_all`] on a caller-chosen engine (sequential = one benchmark at a
-/// time, for timing baselines and debugging). All benchmarks and both flow
-/// modes share one evaluation cache.
+/// Run all five benchmarks on a caller-chosen engine (sequential = one
+/// benchmark at a time, for timing baselines and debugging). Results are
+/// collected in benchmark order, so the rows are identical on every
+/// engine. All benchmarks and both flow modes share one evaluation cache.
 pub fn run_all_on(engine: FlowEngine) -> Result<Vec<(MeasuredRow, FlowOutcome)>, String> {
     run_all_cached_on(engine, Arc::new(EvalCache::new()))
 }

@@ -25,10 +25,8 @@ pub mod nbody;
 pub mod paper;
 pub mod rushlarsen;
 
-use serde::{Deserialize, Serialize};
-
 /// Multipliers from the analysis workload to the evaluation workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleFactors {
     /// Multiplies kernel compute (FLOPs, cycles, kernel memory traffic,
     /// pipeline iterations).
@@ -40,7 +38,7 @@ pub struct ScaleFactors {
 }
 
 /// One benchmark application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Benchmark {
     /// Paper name, e.g. "N-Body Simulation".
     pub name: String,

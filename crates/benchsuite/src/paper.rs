@@ -4,10 +4,8 @@
 //! directly. The abstract quotes "up to 779×" for HIP CPU+GPU while Fig. 5
 //! labels N-Body's 2080 Ti bar 751× — the figure value is recorded here.
 
-use serde::{Deserialize, Serialize};
-
 /// Which target family the informed PSA strategy selects at branch point A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaperTarget {
     MultiThreadCpu,
     CpuGpu,
@@ -15,7 +13,7 @@ pub enum PaperTarget {
 }
 
 /// One application's row of Fig. 5 (hotspot speedups vs 1-thread CPU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Row {
     pub key: &'static str,
     /// Fastest auto-selected design (leftmost bar).
@@ -31,7 +29,7 @@ pub struct Fig5Row {
 }
 
 /// One application's row of Table I (added LOC % per design).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableIRow {
     pub key: &'static str,
     pub omp_pct: f64,

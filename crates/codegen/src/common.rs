@@ -117,57 +117,6 @@ fn find_alloc_in_block(block: &Block, var: &str) -> Option<String> {
     None
 }
 
-/// The statement id of the call to `kernel` inside the host function, and
-/// the host function's name.
-pub fn kernel_call_site(module: &Module, kernel: &str) -> Option<(String, NodeId)> {
-    for item in &module.items {
-        let Item::Function(f) = item else { continue };
-        if f.name == kernel {
-            continue;
-        }
-        if let Some(id) = call_in_block(&f.body, kernel) {
-            return Some((f.name.clone(), id));
-        }
-    }
-    None
-}
-
-fn call_in_block(block: &Block, kernel: &str) -> Option<NodeId> {
-    for stmt in &block.stmts {
-        match &stmt.kind {
-            StmtKind::Expr(e) => {
-                if let ExprKind::Call { callee, .. } = &e.kind {
-                    if callee == kernel {
-                        return Some(stmt.id);
-                    }
-                }
-            }
-            StmtKind::For(l) => {
-                if let Some(id) = call_in_block(&l.body, kernel) {
-                    return Some(id);
-                }
-            }
-            StmtKind::If { then, els, .. } => {
-                if let Some(id) = call_in_block(then, kernel) {
-                    return Some(id);
-                }
-                if let Some(els) = els {
-                    if let Some(id) = call_in_block(els, kernel) {
-                        return Some(id);
-                    }
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::Block(body) => {
-                if let Some(id) = call_in_block(body, kernel) {
-                    return Some(id);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Render everything in the module *except* the kernel function, replacing
 /// the kernel call statement with `replacement_call` (a full line of code,
 /// e.g. `launch_knl(a, b, n);`).
@@ -260,12 +209,5 @@ mod tests {
         assert!(host.contains("launch_knl(a, n);"), "{host}");
         assert!(!host.contains("void knl("), "{host}");
         assert!(host.contains("int main()"), "{host}");
-    }
-
-    #[test]
-    fn call_site_found() {
-        let m = parse_module(APP, "t").unwrap();
-        let (host, _) = kernel_call_site(&m, "knl").unwrap();
-        assert_eq!(host, "main");
     }
 }

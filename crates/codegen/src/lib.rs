@@ -24,10 +24,8 @@ pub mod hip;
 pub mod oneapi;
 pub mod openmp;
 
-use serde::{Deserialize, Serialize};
-
 /// Which programming model a design targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// OpenMP multi-thread CPU.
     OpenMp,
@@ -48,7 +46,7 @@ impl Backend {
 }
 
 /// A fully generated design: the artefact a PSA-flow outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     pub backend: Backend,
     /// Device the design was specialised for (e.g. "GeForce RTX 2080 Ti").

@@ -8,17 +8,14 @@ use psa_artisan::Ast;
 use psa_benchsuite_shim::ScaleFactors;
 use psa_evalcache::EvalCache;
 use psa_faults::FaultPlan;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Re-exported scale factors without depending on the benchmark suite
 /// (applications outside the suite pass their own).
 pub mod psa_benchsuite_shim {
-    use serde::{Deserialize, Serialize};
-
     /// Multipliers from the analysis workload to the evaluation workload.
     /// Identical in shape to `psa_benchsuite::ScaleFactors`.
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct ScaleFactors {
         pub compute: f64,
         pub data: f64,
@@ -37,7 +34,7 @@ pub mod psa_benchsuite_shim {
 }
 
 /// Tunable parameters of the PSA strategy and DSE tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsaParams {
     /// The paper's `X`: kernels below this FLOPs/byte are memory-bound and
     /// never offloaded.

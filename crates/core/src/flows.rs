@@ -200,53 +200,22 @@ pub fn build_graph_with_strategy(
     b.finish().expect("the Fig. 4 flow graph validates")
 }
 
-/// Run the full flow with a custom branch-A strategy.
+/// Run the full flow with a custom branch-A strategy on the default
+/// (parallel) engine, with a fresh evaluation cache.
 pub fn full_psa_flow_with_strategy(
     source: &str,
     app_name: &str,
     strategy: impl crate::strategy::PsaStrategy + 'static,
     params: PsaParams,
 ) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_with_strategy_on(FlowEngine::default(), source, app_name, strategy, params)
-}
-
-/// [`full_psa_flow_with_strategy`] on a caller-chosen engine.
-pub fn full_psa_flow_with_strategy_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    strategy: impl crate::strategy::PsaStrategy + 'static,
-    params: PsaParams,
-) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_with_strategy_cached_on(
-        engine,
-        source,
-        app_name,
-        strategy,
-        params,
-        Arc::new(EvalCache::new()),
-    )
-}
-
-/// [`full_psa_flow_with_strategy_on`] with a caller-provided evaluation
-/// cache — pass the same `Arc` across flows to reuse profiled runs and
-/// model estimates between them.
-pub fn full_psa_flow_with_strategy_cached_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    strategy: impl crate::strategy::PsaStrategy + 'static,
-    params: PsaParams,
-    cache: Arc<EvalCache>,
-) -> Result<FlowOutcome, FlowError> {
     let ast = Ast::from_source(source, app_name)
         .map_err(|e| FlowError::precondition(format!("parse error: {e}")))?;
-    let mut ctx = FlowContext::with_cache(ast, params, cache);
+    let mut ctx = FlowContext::new(ast, params);
     // Causal root span: structural (app name + entry-point discriminant),
     // so reruns of the same flow produce identical span ids.
     ctx.span = psa_obs::SpanCtx::root(&format!("psa-flow/{app_name}"), 2);
     let before = ctx.cache.stats();
-    engine.execute_graph(
+    FlowEngine::default().execute_graph(
         &build_graph_with_strategy(strategy, "A (custom strategy)"),
         &mut ctx,
     )?;
@@ -428,12 +397,6 @@ fn package_outcome(
         trace: ctx.trace,
         failures: ctx.failures,
     }
-}
-
-/// Convenience: derive the selected target of an outcome's design set (the
-/// target family of the fastest design).
-pub fn winning_target(outcome: &FlowOutcome) -> Option<TargetKind> {
-    outcome.best_design().map(|d| d.target)
 }
 
 #[cfg(test)]

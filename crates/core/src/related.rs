@@ -2,10 +2,8 @@
 //! that Partition (P), Map (M), and/or Optimise (O) applications onto
 //! specialised hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// Scope of an approach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     Kernel,
     FullApp,
@@ -21,7 +19,7 @@ impl Scope {
 }
 
 /// One row of Table II.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Approach {
     pub name: &'static str,
     /// Automated code partitioning.

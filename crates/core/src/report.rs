@@ -2,10 +2,9 @@
 
 use crate::flow::FlowError;
 use crate::trace::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 /// Target family (branch point A's alternatives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetKind {
     MultiThreadCpu,
     CpuGpu,
@@ -23,7 +22,7 @@ impl TargetKind {
 }
 
 /// Concrete devices (branch points B and C's alternatives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     Epyc7543,
     Gtx1080Ti,
@@ -53,7 +52,7 @@ impl DeviceKind {
 }
 
 /// Tuning parameters the DSE tasks chose for a design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DesignParams {
     /// OpenMP thread count.
     pub threads: Option<u32>,
@@ -72,7 +71,7 @@ pub struct DesignParams {
 }
 
 /// One generated design plus its estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DesignArtifact {
     pub target: TargetKind,
     pub device: DeviceKind,
@@ -132,7 +131,7 @@ impl PathFailure {
 }
 
 /// The final product of running a PSA-flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowOutcome {
     /// Application name.
     pub app: String,

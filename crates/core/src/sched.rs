@@ -62,8 +62,11 @@ struct Shared<T> {
 /// Every node runs exactly once, only after all its dependencies have
 /// their result slot filled. Returns the filled slots.
 ///
-/// `exec` must not unwind (the engine converts node panics to error
-/// values); if it does anyway, the scope propagates the panic.
+/// Precondition: `exec` must not unwind. A worker whose `exec` panics never
+/// completes its node, so its siblings wait for every node to complete and
+/// the call hangs. Both callers (`FlowEngine::run_graph` and
+/// `FlowEngine::fan_out`) wrap `exec` in `catch_unwind` and turn a node
+/// panic into an error value.
 pub(crate) fn run_work_stealing<T, F>(
     n: usize,
     succs: &[Vec<usize>],
@@ -94,14 +97,13 @@ where
         }
     }
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for wid in 0..workers {
             let shared = &shared;
             let exec = &exec;
-            s.spawn(move |_| worker(wid, n, succs, shared, exec));
+            s.spawn(move || worker(wid, n, succs, shared, exec));
         }
-    })
-    .expect("DAG workers convert node panics to values");
+    });
 
     shared
         .slots

@@ -14,13 +14,12 @@ use crate::report::TargetKind;
 use crate::strategy::{PsaStrategy, PATH_CPU, PATH_FPGA, PATH_GPU};
 use crate::work::kernel_work;
 use psa_platform::{epyc_7543, rtx_2080_ti, CpuModel};
-use serde::{Deserialize, Serialize};
 
 /// The feature vector a kernel presents to the learned strategy.
 ///
 /// Deliberately the *same evidence* the Fig. 3 strategy reads, so learned
 /// and hand-written strategies are directly comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelFeatures {
     /// Static arithmetic intensity, FLOPs/byte.
     pub ai: f64,
@@ -99,14 +98,14 @@ impl KernelFeatures {
 }
 
 /// A labelled training example.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Example {
     pub features: KernelFeatures,
     pub label: TargetKind,
 }
 
 /// A binary decision tree over [`KernelFeatures`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DecisionTree {
     Leaf(TargetKind),
     Split {

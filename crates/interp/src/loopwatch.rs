@@ -20,7 +20,6 @@ use crate::memory::{AccessRange, BufferId, Memory};
 use crate::profile::Profile;
 use crate::value::Value;
 use psa_minicpp::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One loop to watch.
@@ -50,7 +49,7 @@ impl LoopWatch {
 
 /// What a loop watch observed for one watched loop, summed over its
 /// windows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoopWindow {
     /// Windows recorded.
     pub windows: u64,

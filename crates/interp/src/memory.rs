@@ -13,12 +13,11 @@
 use crate::error::{RuntimeError, RuntimeResult};
 use psa_minicpp::ast::Scalar;
 use psa_minicpp::Span;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of one allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufferId(pub u32);
 
 impl fmt::Display for BufferId {
@@ -61,7 +60,7 @@ impl BufferData {
 }
 
 /// Min/max element indices touched in a buffer, split by access kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessRange {
     pub reads: u64,
     pub writes: u64,
@@ -392,23 +391,9 @@ impl Memory {
         }
     }
 
-    pub fn as_f64_slice_mut(&mut self, id: BufferId) -> Option<&mut [f64]> {
-        match &mut self.buffer_mut(id).data {
-            BufferData::Double(v) => Some(v),
-            _ => None,
-        }
-    }
-
     pub fn as_i64_slice(&self, id: BufferId) -> Option<&[i64]> {
         match &self.buffer(id).data {
             BufferData::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f32_slice(&self, id: BufferId) -> Option<&[f32]> {
-        match &self.buffer(id).data {
-            BufferData::Float(v) => Some(v),
             _ => None,
         }
     }

@@ -8,11 +8,10 @@
 //! which is all the paper's dynamic analyses extract.
 
 use psa_minicpp::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-operation virtual cycle costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Integer add/sub/compare/logic.
     pub int_op: u64,
@@ -66,7 +65,7 @@ impl Default for CostModel {
 
 /// Statistics for one loop (keyed by the `ForLoop`/`While` statement's
 /// [`NodeId`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoopStats {
     /// How many times execution entered the loop from above.
     pub entries: u64,
@@ -88,7 +87,7 @@ impl LoopStats {
 }
 
 /// Everything the interpreter measures during one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     /// Total virtual cycles.
     pub total_cycles: u64,
@@ -125,32 +124,9 @@ pub struct Profile {
     pub kernel_arg_ptrs: Vec<Vec<(String, crate::Pointer)>>,
 }
 
-impl Profile {
-    /// Arithmetic intensity of the watched kernel in FLOPs/byte — the
-    /// quantity the PSA strategy compares against its threshold `X`.
-    pub fn kernel_arithmetic_intensity(&self) -> f64 {
-        let bytes = self.kernel_bytes_loaded + self.kernel_bytes_stored;
-        if bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.kernel_flops as f64 / bytes as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arithmetic_intensity_handles_zero_bytes() {
-        let mut p = Profile {
-            kernel_flops: 10,
-            ..Default::default()
-        };
-        assert!(p.kernel_arithmetic_intensity().is_infinite());
-        p.kernel_bytes_loaded = 40;
-        assert!((p.kernel_arithmetic_intensity() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn mean_trip_count() {

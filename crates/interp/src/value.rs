@@ -7,13 +7,12 @@
 //! trade observable.
 
 use crate::memory::BufferId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A pointer value: which allocation it points into and the element offset.
 /// Provenance is never erased, which is what makes the dynamic alias
 /// analysis exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pointer {
     pub buffer: BufferId,
     /// Offset in *elements* from the start of the allocation.
@@ -21,7 +20,7 @@ pub struct Pointer {
 }
 
 /// A runtime value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     Int(i64),
     Float(f32),

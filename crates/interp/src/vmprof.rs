@@ -243,27 +243,6 @@ impl VmProfile {
         }
         out
     }
-
-    /// Human-readable self/total table, hottest first.
-    pub fn table_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24} {:>14} {:>14} {:>7} {:>10}\n",
-            "frame", "self_cycles", "total_cycles", "self%", "entries"
-        ));
-        for row in &self.rows {
-            let pct = if self.total_cycles == 0 {
-                0.0
-            } else {
-                row.self_cycles as f64 * 100.0 / self.total_cycles as f64
-            };
-            out.push_str(&format!(
-                "{:<24} {:>14} {:>14} {:>6.1}% {:>10}\n",
-                row.name, row.self_cycles, row.total_cycles, pct, row.entries
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]

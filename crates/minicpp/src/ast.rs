@@ -15,11 +15,10 @@
 //!   unique.
 
 use crate::span::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of an AST node within one [`Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -30,7 +29,7 @@ impl fmt::Display for NodeId {
 
 /// Scalar type kinds. MiniC++ has no user-defined aggregates; benchmark data
 /// is structure-of-arrays, as is idiomatic for accelerator kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     Void,
     Bool,
@@ -72,7 +71,7 @@ impl Scalar {
 
 /// A (possibly pointer) type: `scalar` + pointer depth, e.g. `double*` is
 /// `Type { scalar: Double, ptr: 1 }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Type {
     pub scalar: Scalar,
     /// Pointer indirection depth (0 = value, 1 = `T*`).
@@ -128,7 +127,7 @@ impl fmt::Display for Type {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation `-e`.
     Neg,
@@ -137,7 +136,7 @@ pub enum UnOp {
 }
 
 /// Binary operators, in MiniC++ surface syntax.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -189,7 +188,7 @@ impl BinOp {
 }
 
 /// Compound-assignment operators on statements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssignOp {
     /// `=`
     Set,
@@ -227,7 +226,7 @@ impl AssignOp {
 }
 
 /// An expression node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Expr {
     pub id: NodeId,
     pub span: Span,
@@ -235,7 +234,7 @@ pub struct Expr {
 }
 
 /// Expression payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ExprKind {
     IntLit(i64),
     FloatLit {
@@ -312,7 +311,7 @@ impl Expr {
 }
 
 /// A `#pragma` directive attached to a statement or function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pragma {
     pub id: NodeId,
     pub span: Span,
@@ -336,7 +335,7 @@ impl Pragma {
 }
 
 /// A variable declaration, local or parameter-like.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarDecl {
     pub id: NodeId,
     pub span: Span,
@@ -353,7 +352,7 @@ pub struct VarDecl {
 /// Keeping loops canonical (rather than lowering to `while`) is what makes
 /// trip-count reasoning, unrolling and `parallel for` code generation direct,
 /// exactly as the paper's loop-oriented tasks assume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForLoop {
     pub id: NodeId,
     pub span: Span,
@@ -404,7 +403,7 @@ impl ForLoop {
 }
 
 /// Statement node: pragmas attached before it, plus the payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     pub id: NodeId,
     pub span: Span,
@@ -414,7 +413,7 @@ pub struct Stmt {
 }
 
 /// Statement payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     Decl(VarDecl),
     /// `target op value;` where target is an lvalue (ident or index chain).
@@ -443,7 +442,7 @@ pub enum StmtKind {
 }
 
 /// A brace-delimited statement sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     pub id: NodeId,
     pub span: Span,
@@ -451,7 +450,7 @@ pub struct Block {
 }
 
 /// A function parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     pub id: NodeId,
     pub span: Span,
@@ -460,7 +459,7 @@ pub struct Param {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     pub id: NodeId,
     pub span: Span,
@@ -476,7 +475,7 @@ pub struct Function {
 // modules hold few items; boxing
 // functions would complicate every
 // query for no measurable gain
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     Function(Function),
     /// Module-level constant/variable.
@@ -484,7 +483,7 @@ pub enum Item {
 }
 
 /// A parsed translation unit plus its node-id allocator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Module (file) name, used in diagnostics and reports.
     pub name: String,

@@ -2,12 +2,11 @@
 //! analyses can report human-meaningful locations (the paper's design-flow
 //! reports name hotspot loops by line).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open region of the original source text, line/column based
 /// (1-indexed, like compilers report).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Span {
     /// First line of the region (1-based).
     pub line: u32,

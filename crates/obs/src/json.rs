@@ -1,14 +1,14 @@
 //! A minimal JSON reader and writer.
 //!
-//! The workspace's `serde` dependency is a marker-only compat shim (see
-//! `compat/serde`), so JSON is read and written here. Both halves are
-//! deliberately small: full JSON syntax, objects as ordered pairs (no map
-//! semantics), numbers as `f64`. The parser validates emitted artefacts in
-//! tests and CI helpers; the writer side is [`write_str`], the one string
-//! escaper of every hand-rolled emitter (Perfetto traces, forensic bundles,
-//! the `psa-serve` protocol), and [`Json`]'s `Display`, which renders the
-//! committed `BENCH_*.json` records. `parse(&v.to_string()) == v` holds for
-//! every value with finite numbers.
+//! The workspace has no JSON library, so JSON is read and written here.
+//! Both halves are deliberately small: full JSON syntax, objects as
+//! ordered pairs (no map semantics), numbers as `f64`. The parser
+//! validates emitted artefacts in tests and CI helpers; the writer side is
+//! [`write_str`], the one string escaper of every hand-rolled emitter
+//! (Perfetto traces, forensic bundles, the `psa-serve` protocol), and
+//! [`Json`]'s `Display`, which renders the committed `BENCH_*.json`
+//! records. `parse(&v.to_string()) == v` holds for every value with finite
+//! numbers.
 
 use std::fmt::{self, Write as _};
 

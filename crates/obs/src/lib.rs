@@ -14,8 +14,7 @@
 //!   `chrome://tracing` / Perfetto-loadable JSON file;
 //! * [`json`] — a minimal JSON reader and writer: the parser tests use to
 //!   validate the emitted artefacts, and the one string escaper and value
-//!   renderer the emitters share (the workspace's `serde` compat shim is
-//!   marker-only).
+//!   renderer the emitters share (the workspace has no JSON library).
 //!
 //! ## Pay-for-what-you-use
 //!

@@ -3,10 +3,8 @@
 //! efficiency factors where the datasheet says nothing (documented per
 //! field).
 
-use serde::{Deserialize, Serialize};
-
 /// A multicore CPU target (OpenMP path + the single-thread reference).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     pub name: String,
     /// Physical cores.
@@ -26,7 +24,7 @@ pub struct CpuSpec {
 }
 
 /// A discrete GPU target (HIP path).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     pub name: String,
     /// Streaming multiprocessors.
@@ -72,7 +70,7 @@ impl GpuSpec {
 }
 
 /// An FPGA accelerator card (oneAPI path).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaSpec {
     pub name: String,
     /// Logic budget in ALM/LUT units.

@@ -26,7 +26,6 @@ use crate::resources::OpCounts;
 use crate::work::KernelWork;
 use crate::Seconds;
 use psa_evalcache::{EvalCache, KeyBuilder};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Memory ports available to one kernel datapath (HLS banks and replicates
@@ -38,7 +37,7 @@ const MEM_PORTS: f64 = 16.0;
 const USM_STREAM_EFF: f64 = 0.55;
 
 /// The HLS-style resource report the unroll DSE consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaReport {
     pub unroll: u64,
     pub luts_used: f64,
@@ -53,7 +52,7 @@ pub struct FpgaReport {
 }
 
 /// Why a timing estimate could not be produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FpgaTimeError {
     /// The design exceeds device resources even at unroll 1 — the paper's
     /// "designs are sizeable and exceed the capacity of our current FPGA
@@ -79,7 +78,7 @@ impl fmt::Display for FpgaTimeError {
 impl std::error::Error for FpgaTimeError {}
 
 /// Timing breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FpgaEstimate {
     pub pipeline_s: f64,
     pub ddr_s: f64,

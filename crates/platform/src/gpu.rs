@@ -21,7 +21,6 @@ use crate::devices::GpuSpec;
 use crate::work::KernelWork;
 use crate::Seconds;
 use psa_evalcache::{EvalCache, KeyBuilder};
-use serde::{Deserialize, Serialize};
 
 /// FLOP-equivalents per native SFU operation (the work measures count a
 /// sqrt as 4 and a transcendental as 8 FLOP-equivalents; the SFU retires
@@ -42,7 +41,7 @@ const MEM_EFF: f64 = 0.65;
 const GATHER_EFF: f64 = 0.015;
 
 /// Detailed timing breakdown for one launch configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuEstimate {
     pub kernel_s: f64,
     pub transfer_s: f64,

@@ -9,10 +9,8 @@
 //! `time × price`, so `cost_fpga / cost_gpu = (t_fpga / t_gpu) × (p_fpga /
 //! p_gpu)` and the crossover sits at `p_fpga / p_gpu = t_gpu / t_fpga`.
 
-use serde::{Deserialize, Serialize};
-
 /// One application's cost curve inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostCase {
     pub app: String,
     /// Measured FPGA (Stratix10) execution time, seconds.
@@ -45,7 +43,7 @@ pub fn fig6_price_ratios() -> Vec<f64> {
 }
 
 /// A whole Fig. 6 dataset: one curve per application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostStudy {
     pub cases: Vec<CostCase>,
 }

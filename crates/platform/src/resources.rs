@@ -9,14 +9,13 @@
 
 use psa_minicpp::ast::*;
 use psa_minicpp::Module;
-use serde::{Deserialize, Serialize};
 
 /// Straight-line operation counts for one pipeline iteration of a kernel.
 ///
 /// Loops with static trip counts are counted multiplied (an HLS unroll
 /// pragma flattens them into hardware); loops with runtime bounds count
 /// once (the datapath is shared across their iterations).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpCounts {
     pub fp_add: f64,
     pub fp_mul: f64,

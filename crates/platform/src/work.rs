@@ -1,7 +1,6 @@
 //! The workload-characterisation record shared by all platform models.
 
 use crate::resources::OpCounts;
-use serde::{Deserialize, Serialize};
 
 /// Everything a platform model needs to know about one kernel + workload.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// register-pressure extraction in [`crate::resources`], then scaled from
 /// the analysis workload to the evaluation workload by the benchmark's
 /// scaling rules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelWork {
     /// FLOP-equivalents executed in the kernel that map to FMA-class
     /// pipelines (add/sub/mul/div).

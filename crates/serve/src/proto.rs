@@ -2,7 +2,7 @@
 //!
 //! One request per line, one or more response lines per request. The wire
 //! grammar is deliberately small and hand-rolled on both sides (the
-//! workspace has no serde serializer): [`encode_request`] /
+//! workspace has no JSON library): [`encode_request`] /
 //! [`Response::encode`] emit canonical single-line JSON, and
 //! [`decode_request`] parses with [`psa_obs::json`] and maps every
 //! malformed input to a typed [`ProtoError`] — a hostile byte stream can
@@ -247,21 +247,6 @@ pub struct StatsSnapshot {
     pub queued: u64,
     pub running: u64,
     pub draining: bool,
-}
-
-impl StatsSnapshot {
-    /// All rejections, every reason.
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected_rate_limit
-            + self.rejected_in_flight_quota
-            + self.rejected_queue_full
-            + self.rejected_draining
-    }
-
-    /// All finished jobs, every terminal status.
-    pub fn finished_total(&self) -> u64 {
-        self.done + self.failed + self.panicked + self.deadline_expired + self.cancelled
-    }
 }
 
 /// A server response line.

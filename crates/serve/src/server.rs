@@ -648,9 +648,9 @@ fn execute(inner: &Inner, job: Admitted, wait_ms: u64) -> JobResult {
         )
     }));
     psa_obs::observe(
-        "psa_serve_exec_ms",
+        "psa_serve_exec_us",
         &[],
-        started.elapsed().as_millis() as u64,
+        started.elapsed().as_micros() as u64,
     );
     match run {
         Ok(Ok(outcome)) => {

@@ -155,8 +155,8 @@ fn learned_strategy_matches_ground_truth_on_the_suite() {
 fn flow_outcomes_serialize() {
     // A report carries what a stored artefact needs: a positive reference
     // time and designs whose parameters and notes name their framework.
-    // (The workspace's serde derives are markers that expand to nothing,
-    // so there is no serializer to round-trip through.)
+    // (The workspace has no serializer to round-trip through; stored
+    // artefacts are rendered by hand.)
     let bench = benchsuite::by_key("kmeans").unwrap();
     let outcome = full_psa_flow(
         &bench.source,
