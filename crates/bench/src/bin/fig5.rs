@@ -162,11 +162,7 @@ fn main() {
         }
     }
 
-    let traces: Vec<(&str, &[psaflow_core::TraceEvent])> = results
-        .iter()
-        .map(|(row, outcome)| (row.key.as_str(), outcome.trace.as_slice()))
-        .collect();
-    if let Err(e) = obs.write_artifacts(&traces) {
+    if let Err(e) = obs.write_artifacts() {
         eprintln!("fig5: failed to write observability artefacts: {e}");
         std::process::exit(1);
     }

@@ -78,11 +78,7 @@ fn main() {
         }
     }
 
-    let traces: Vec<(&str, &[psaflow_core::TraceEvent])> = results
-        .iter()
-        .map(|(row, outcome)| (row.key.as_str(), outcome.trace.as_slice()))
-        .collect();
-    if let Err(e) = obs.write_artifacts(&traces) {
+    if let Err(e) = obs.write_artifacts() {
         eprintln!("fig6: failed to write observability artefacts: {e}");
         std::process::exit(1);
     }

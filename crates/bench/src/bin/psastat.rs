@@ -4,8 +4,9 @@
 //!
 //! * `psastat <bundle.json>` — pretty-print a flight-recorder forensic
 //!   bundle (`--recorder-dump=`) as a causal span tree: triggers first,
-//!   then every span from the bundle's span table nested under its parent,
-//!   with the ring events that carry its span id attached;
+//!   then every span from the bundle's span table nested under its parent
+//!   with its duration (or `open` if it never closed), and the ring events
+//!   that carry its span id attached;
 //! * `psastat <metrics.prom>` — render a Prometheus text snapshot
 //!   (`--metrics-out=`): counters and gauges verbatim, histograms with
 //!   count/sum and p50/p95/p99 estimated from the log₂ buckets;
@@ -83,6 +84,8 @@ fn render_file(path: &str) {
 struct SpanNode<'a> {
     label: &'a str,
     worker: u64,
+    /// `close_ns − open_ns`; `None` while the span was still open.
+    duration_ns: Option<u64>,
     children: Vec<usize>,
     events: Vec<String>,
 }
@@ -97,28 +100,29 @@ fn bundle_report(path: &str, doc: &Json) -> String {
     let triggers = doc.get("triggers").and_then(Json::as_array).unwrap_or(&[]);
     let dropped_spans = doc.get("dropped_spans").and_then(Json::as_u64).unwrap_or(0);
 
-    // Index the span table by span id (document order is append order, so
-    // children render in the order they were opened).
+    // Index the span table by span id. Document order is open order, so a
+    // parent precedes its children and children render in the order they
+    // opened. A flow that ran twice (a warm re-run) repeats its structural
+    // ids: each span joins the latest earlier entry of its parent's id.
     let mut nodes: Vec<SpanNode> = Vec::with_capacity(spans.len());
     let mut by_id: BTreeMap<&str, usize> = BTreeMap::new();
-    for s in spans {
-        let id = s.get("span").and_then(Json::as_str).unwrap_or("?");
-        let idx = nodes.len();
+    let mut roots: Vec<usize> = Vec::new();
+    for (idx, s) in spans.iter().enumerate() {
         nodes.push(SpanNode {
             label: s.get("label").and_then(Json::as_str).unwrap_or("?"),
             worker: s.get("worker").and_then(Json::as_u64).unwrap_or(0),
+            duration_ns: s.get("close_ns").and_then(Json::as_u64).map(|close| {
+                close.saturating_sub(s.get("open_ns").and_then(Json::as_u64).unwrap_or(0))
+            }),
             children: Vec::new(),
             events: Vec::new(),
         });
-        by_id.entry(id).or_insert(idx);
-    }
-    let mut roots: Vec<usize> = Vec::new();
-    for (i, s) in spans.iter().enumerate() {
         let parent = s.get("parent").and_then(Json::as_str).unwrap_or("?");
         match by_id.get(parent) {
-            Some(&p) if parent != "0000000000000000" => nodes[p].children.push(i),
-            _ => roots.push(i),
+            Some(&p) if parent != "0000000000000000" => nodes[p].children.push(idx),
+            _ => roots.push(idx),
         }
+        by_id.insert(s.get("span").and_then(Json::as_str).unwrap_or("?"), idx);
     }
 
     // Attach ring events to their spans; structural open/close events are
@@ -215,7 +219,13 @@ fn subtree_size(nodes: &[SpanNode], idx: usize) -> (usize, usize) {
 fn print_span(out: &mut String, nodes: &[SpanNode], idx: usize, depth: usize) {
     let n = &nodes[idx];
     let indent = "  ".repeat(depth);
-    let _ = writeln!(out, "{indent}{} (worker {})", n.label, n.worker);
+    let duration = match n.duration_ns {
+        Some(ns) if ns < 1_000 => format!("{ns} ns"),
+        Some(ns) if ns < 1_000_000 => format!("{:.1} µs", ns as f64 / 1e3),
+        Some(ns) => format!("{:.3} ms", ns as f64 / 1e6),
+        None => "open".to_string(),
+    };
+    let _ = writeln!(out, "{indent}{} (worker {}, {duration})", n.label, n.worker);
     for ev in &n.events {
         let _ = writeln!(out, "{indent}  · {ev}");
     }
@@ -526,15 +536,20 @@ mod tests {
             "triggers":[],"dropped_spans":0,
             "spans":[
               {"trace":"000000000000000a","span":"000000000000000a",
-               "parent":"0000000000000000","label":"psa-serve/acme/job-00","worker":1},
+               "parent":"0000000000000000","label":"psa-serve/acme/job-00","worker":1,
+               "open_ns":1000,"close_ns":2501000},
               {"trace":"000000000000000a","span":"000000000000000b",
-               "parent":"000000000000000a","label":"flow/psa-flow","worker":1},
+               "parent":"000000000000000a","label":"flow/psa-flow","worker":1,
+               "open_ns":2000,"close_ns":14500},
               {"trace":"000000000000000c","span":"000000000000000c",
-               "parent":"0000000000000000","label":"psa-serve/blue/job-01","worker":2},
+               "parent":"0000000000000000","label":"psa-serve/blue/job-01","worker":2,
+               "open_ns":3000,"close_ns":null},
               {"trace":"000000000000000c","span":"000000000000000d",
-               "parent":"000000000000000c","label":"flow/psa-flow","worker":2},
+               "parent":"000000000000000c","label":"flow/psa-flow","worker":2,
+               "open_ns":4000,"close_ns":4900},
               {"trace":"00000000000000ff","span":"00000000000000ff",
-               "parent":"0000000000000000","label":"offline-run","worker":3}
+               "parent":"0000000000000000","label":"offline-run","worker":3,
+               "open_ns":0,"close_ns":null}
             ],
             "workers":[
               {"worker":1,"dropped":0,"events":[
@@ -560,13 +575,25 @@ mod tests {
         let tree_at = report.find("causal tree:").expect("tree present");
         assert!(jobs_at < tree_at, "job index precedes the tree:\n{report}");
         let tree = &report[tree_at..];
+        // Each span shows its duration, or `open` if it never closed.
         assert!(
-            tree.contains("  psa-serve/acme/job-00 (worker 1)"),
+            tree.contains("  psa-serve/acme/job-00 (worker 1, 2.500 ms)"),
             "{report}"
         );
-        assert!(tree.contains("    flow/psa-flow (worker 1)"), "{report}");
+        assert!(
+            tree.contains("    flow/psa-flow (worker 1, 12.5 µs)"),
+            "{report}"
+        );
+        assert!(
+            tree.contains("  psa-serve/blue/job-01 (worker 2, open)"),
+            "{report}"
+        );
+        assert!(
+            tree.contains("    flow/psa-flow (worker 2, 900 ns)"),
+            "{report}"
+        );
         assert!(tree.contains("FAULT task:psa-flow/gen_omp"), "{report}");
-        assert!(tree.contains("  offline-run (worker 3)"), "{report}");
+        assert!(tree.contains("  offline-run (worker 3, open)"), "{report}");
         let serve_root = tree.find("psa-serve/blue").expect("second job root");
         let other_root = tree.find("offline-run").expect("offline root");
         assert!(

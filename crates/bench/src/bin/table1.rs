@@ -126,11 +126,7 @@ fn main() {
     }
     println!("\n(paper averages: OMP +2%, HIP +36%, oneAPI A10 +57%, S10 +81%, total +212%)");
 
-    let traces: Vec<(&str, &[psaflow_core::TraceEvent])> = results
-        .iter()
-        .map(|(row, outcome)| (row.key.as_str(), outcome.trace.as_slice()))
-        .collect();
-    if let Err(e) = obs.write_artifacts(&traces) {
+    if let Err(e) = obs.write_artifacts() {
         eprintln!("table1: failed to write observability artefacts: {e}");
         std::process::exit(1);
     }

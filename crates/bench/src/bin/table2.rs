@@ -25,7 +25,7 @@ fn main() {
     println!("  Scope:         full applications (host code regenerated around the kernel)");
 
     // Table II runs no flows; the artefacts are valid but empty.
-    if let Err(e) = obs.write_artifacts(&[]) {
+    if let Err(e) = obs.write_artifacts() {
         eprintln!("table2: failed to write observability artefacts: {e}");
         std::process::exit(1);
     }

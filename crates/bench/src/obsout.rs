@@ -1,10 +1,12 @@
 //! Observability artefact output for the experiment binaries.
 //!
-//! Every binary accepts three optional flags:
+//! Every binary accepts four optional flags:
 //!
-//! * `--trace-out=<path>` — Perfetto / Chrome `trace_event` JSON of every
-//!   flow run's recorded trace (load in <https://ui.perfetto.dev> or
-//!   `chrome://tracing`);
+//! * `--trace-out=<path>` — arm the flight recorder and write its Perfetto
+//!   / Chrome `trace_event` timeline there on exit: one process per flow
+//!   root span, one track per worker thread, one `B`/`E` pair per span
+//!   (load in <https://ui.perfetto.dev> or `chrome://tracing`), plus one
+//!   `vmprof` process per benchmark app when profiling too;
 //! * `--metrics-out=<path>` — the process-global metrics registry in
 //!   Prometheus text exposition format;
 //! * `--profile-out=<path>` — collapsed-stack (flamegraph) text from VM
@@ -14,16 +16,17 @@
 //!   embedded Perfetto timeline) there on exit — immediately on a flow
 //!   failure, or after the last run on success.
 //!
-//! All four write to files only: **stdout is byte-identical with and
-//! without the flags** (CI diffs the two). Metrics collection is enabled
-//! lazily — without `--metrics-out` the registry stays off and every
-//! instrumentation site costs a single relaxed atomic load; the flight
-//! recorder has its own independent gate behind `--recorder-dump`.
+//! Both the trace and the bundle render the timeline through
+//! [`psa_obs::recorder::timeline`]. All four write to files only: **stdout
+//! is byte-identical with and without the flags** (CI diffs the two).
+//! Metrics collection is enabled lazily — without `--metrics-out` the
+//! registry stays off and every instrumentation site costs a single
+//! relaxed atomic load; the flight recorder has its own independent gate,
+//! armed by `--trace-out` or `--recorder-dump`.
 
 use psa_interp::{run_main_profiled_vm_with_profile, RunConfig, VmProfile};
-use psa_obs::perfetto::{ArgValue, TraceBuilder};
-use psaflow_core::obs_export::export_trace;
-use psaflow_core::TraceEvent;
+use psa_obs::perfetto::ArgValue;
+use psa_obs::recorder;
 use std::path::PathBuf;
 
 /// The parsed observability flags.
@@ -55,27 +58,30 @@ impl ObsArgs {
             psa_obs::set_enabled(true);
         }
         if let Some(path) = &out.recorder_dump {
-            psa_obs::recorder::set_dump_path(Some(path.clone()));
-            psa_obs::recorder::set_enabled(true);
+            recorder::set_dump_path(Some(path.clone()));
+        }
+        if out.trace_out.is_some() || out.recorder_dump.is_some() {
+            recorder::set_enabled(true);
         }
         out
     }
 
-    /// Write every requested artefact. `traces` pairs a run name with its
-    /// recorded trace (one Perfetto process per run); binaries that run no
-    /// flows pass an empty slice and still produce valid artefacts.
-    pub fn write_artifacts(&self, traces: &[(&str, &[TraceEvent])]) -> std::io::Result<()> {
+    /// Write every requested artefact. Binaries that run no flows still
+    /// produce valid (empty) ones.
+    pub fn write_artifacts(&self) -> std::io::Result<()> {
+        // Snapshot before the profiling runs below, so the timeline holds
+        // only the binary's own flows.
+        let timeline = self
+            .trace_out
+            .is_some()
+            .then(|| recorder::timeline(&recorder::snapshot()));
         let profiles = if self.profile_out.is_some() {
             benchmark_profiles()
         } else {
             Vec::new()
         };
 
-        if let Some(path) = &self.trace_out {
-            let mut tb = TraceBuilder::new();
-            for (i, (name, events)) in traces.iter().enumerate() {
-                export_trace(&mut tb, i as u32 + 1, name, events);
-            }
+        if let (Some(path), Some(mut tb)) = (&self.trace_out, timeline) {
             // When profiling too, attach each app's per-frame self/total
             // table as instant events on its own process.
             for (i, (app, profile)) in profiles.iter().enumerate() {
@@ -113,7 +119,7 @@ impl ObsArgs {
         }
 
         if self.recorder_dump.is_some() {
-            psa_obs::recorder::flush_dump()?;
+            recorder::flush_dump()?;
         }
         Ok(())
     }

@@ -54,7 +54,6 @@ pub mod engine;
 pub mod flow;
 pub mod flows;
 pub mod graph;
-pub mod obs_export;
 pub mod ports;
 pub mod prelude;
 pub mod related;

@@ -4,16 +4,17 @@
 //! of a flat string log: task spans carry their class and wall-clock
 //! duration, branch events carry the deciding strategy's evidence and the
 //! selection with one sub-trace per followed path, and DSE events carry the
-//! explored design space as data. Two consumers are supported:
+//! explored design space as data. The tree is the flow's semantic log:
+//! [`render_lines`] flattens it back into exactly the human-readable lines
+//! the flat log used to contain (so existing log assertions and reports
+//! keep working, and so parallel and sequential engine runs can be compared
+//! byte-for-byte — wall-clock durations are deliberately *not* rendered).
 //!
-//! * [`render_lines`] flattens the tree back into exactly the
-//!   human-readable lines the flat log used to contain (so existing log
-//!   assertions and reports keep working, and so parallel and sequential
-//!   engine runs can be compared byte-for-byte — wall-clock durations are
-//!   deliberately *not* rendered);
-//! * [`crate::obs_export::export_trace`] lays the full tree, durations
-//!   included, out as a Perfetto timeline for machine consumption (the
-//!   binaries' `--trace-out=`).
+//! Timelines do not come from this tree. The engine also opens a causal
+//! span around every node and branch path, and each span records its own
+//! open and close time in the flight recorder's span table;
+//! `psa_obs::recorder::timeline` renders that table for `--trace-out=` and
+//! forensic bundles alike.
 
 use crate::flow::FlowError;
 

@@ -4,11 +4,16 @@
 //! one: the flow engine's task/branch/path spans, the evaluation cache's
 //! hit/miss/eviction counts, the VM's dispatch and call totals, the DSE
 //! sweeps' evaluation counts and the platform models' estimate calls. The
-//! crate has three parts:
+//! crate has four parts:
 //!
 //! * [`registry`] — a thread-safe [`MetricsRegistry`] of atomic counters,
 //!   gauges and log-scale histograms with labels, plus a Prometheus
 //!   text-exposition writer;
+//! * [`span`] and [`recorder`] — deterministic causal spans and the flight
+//!   recorder: per-worker event rings plus a span table in which every span
+//!   records its own open and close time. [`recorder::timeline`] turns that
+//!   table into the one Perfetto timeline, which `--trace-out` writes and
+//!   every forensic bundle embeds;
 //! * [`perfetto`] — a Chrome `trace_event` builder ([`perfetto::TraceBuilder`])
 //!   serialising begin/end spans and instant events into a
 //!   `chrome://tracing` / Perfetto-loadable JSON file;

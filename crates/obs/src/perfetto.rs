@@ -3,8 +3,9 @@
 //! [`TraceBuilder`] collects duration (`B`/`E`), instant (`i`) and metadata
 //! (`M`) events on `(pid, tid)` tracks and serialises them into the JSON
 //! object format both `chrome://tracing` and <https://ui.perfetto.dev>
-//! load. Producers are responsible for two invariants that make the result
-//! render correctly (and that the workspace proptests verify):
+//! load. Producers must keep two invariants for the result to render
+//! correctly; [`crate::recorder::timeline`] keeps them by construction
+//! (proptested in `tests/bundle_roundtrip.rs`):
 //!
 //! * per track, `B` and `E` events are balanced and properly nested;
 //! * per track, timestamps are monotonically non-decreasing in emission
@@ -22,8 +23,6 @@ use std::fmt::Write as _;
 pub enum ArgValue {
     Str(String),
     U64(u64),
-    F64(f64),
-    Bool(bool),
 }
 
 impl From<&str> for ArgValue {
@@ -41,18 +40,6 @@ impl From<String> for ArgValue {
 impl From<u64> for ArgValue {
     fn from(v: u64) -> Self {
         ArgValue::U64(v)
-    }
-}
-
-impl From<f64> for ArgValue {
-    fn from(v: f64) -> Self {
-        ArgValue::F64(v)
-    }
-}
-
-impl From<bool> for ArgValue {
-    fn from(v: bool) -> Self {
-        ArgValue::Bool(v)
     }
 }
 
@@ -75,15 +62,6 @@ pub struct TraceBuilder {
 impl TraceBuilder {
     pub fn new() -> Self {
         TraceBuilder::default()
-    }
-
-    /// Number of events recorded so far (metadata included).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Name the process `pid` (shown as the track group title).
@@ -211,16 +189,6 @@ fn write_arg(out: &mut String, v: &ArgValue) {
         ArgValue::Str(s) => write_str(out, s),
         ArgValue::U64(n) => {
             let _ = write!(out, "{n}");
-        }
-        ArgValue::F64(f) => {
-            if f.is_finite() {
-                let _ = write!(out, "{f}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        ArgValue::Bool(b) => {
-            let _ = write!(out, "{b}");
         }
     }
 }

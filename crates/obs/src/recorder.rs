@@ -8,8 +8,8 @@
 //! failure site calls [`mark_trigger`] and the harness dumps the last-N
 //! events of every worker as a **self-contained forensic bundle**: one JSON
 //! document holding the trigger list, the span table (the full causal
-//! tree), each worker's surviving events, and an embedded Perfetto timeline
-//! built with [`crate::perfetto::TraceBuilder`].
+//! tree), each worker's surviving events, and the run's Perfetto
+//! [`timeline`].
 //!
 //! ## Concurrency design
 //!
@@ -27,7 +27,9 @@
 //! therefore additionally appended to a capped global **span table**
 //! (spans are node-granular and rare compared to cache/estimate events),
 //! so a bundle can always walk from the flow root span down to the failing
-//! node even when the root's ring event is long gone.
+//! node even when the root's ring event is long gone. Each entry carries
+//! its own open and close time, which makes the table the one timing
+//! source: [`timeline`] renders it for both bundles and `--trace-out`.
 //!
 //! ## Determinism
 //!
@@ -40,6 +42,7 @@ use crate::json::write_str;
 use crate::perfetto::{ArgValue, TraceBuilder};
 use crate::span::SpanCtx;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -334,6 +337,10 @@ pub struct SpanInfo {
     pub label: String,
     /// Worker that opened the span.
     pub worker: usize,
+    /// Nanoseconds since the recorder's epoch when the span opened.
+    pub open_ns: u64,
+    /// When it closed; `None` while it is still open.
+    pub close_ns: Option<u64>,
 }
 
 struct SpanTable {
@@ -433,32 +440,51 @@ pub fn mark_trigger(reason: &str) {
     }
 }
 
-pub fn record_span_open(span: SpanCtx, label: &str) {
+/// Journal a span open and append it to the span table. Returns the
+/// entry's index (`None` while disabled or once the table is full), which
+/// [`record_span_close`] needs to stamp the close time.
+pub fn record_span_open(span: SpanCtx, label: &str) -> Option<usize> {
     if !enabled() {
-        return;
+        return None;
     }
     let ts = wall_ns();
+    let mut index = None;
     with_ring(|ring| {
         ring.push(ts, Some(span), K_SPAN_OPEN, 0, 0, 0, label);
         let mut spans = lock(&registry().spans);
         if spans.records.len() < SPAN_TABLE_CAPACITY {
+            index = Some(spans.records.len());
             spans.records.push(SpanInfo {
                 ctx: span,
                 label: label.to_string(),
                 worker: ring.worker,
+                open_ns: ts,
+                close_ns: None,
             });
         } else {
             spans.dropped += 1;
         }
     });
+    index
 }
 
-pub fn record_span_close(span: SpanCtx) {
+/// Journal a span close and stamp `close_ns` on span-table entry `index`
+/// — only if that entry is still this span and still open (a [`reset`]
+/// may have cleared the table since the open).
+pub fn record_span_close(span: SpanCtx, index: Option<usize>) {
     if !enabled() {
         return;
     }
     let ts = wall_ns();
     with_ring(|ring| ring.push(ts, Some(span), K_SPAN_CLOSE, 0, 0, 0, ""));
+    if let Some(i) = index {
+        let mut spans = lock(&registry().spans);
+        if let Some(entry) = spans.records.get_mut(i) {
+            if entry.ctx == span && entry.close_ns.is_none() {
+                entry.close_ns = Some(ts);
+            }
+        }
+    }
 }
 
 /// Journal a cache lookup under the ambient span.
@@ -633,7 +659,7 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Render a snapshot as a self-contained forensic bundle: triggers, span
-/// table, per-worker events, and an embedded Perfetto timeline. Pure —
+/// table, per-worker events, and the embedded [`timeline`]. Pure —
 /// the proptests and the determinism test feed it synthetic snapshots.
 pub fn render_bundle(s: &Snapshot) -> String {
     let mut out = String::new();
@@ -661,7 +687,12 @@ pub fn render_bundle(s: &Snapshot) -> String {
             sp.ctx.trace_id, sp.ctx.span_id, sp.ctx.parent_id
         );
         write_str(&mut out, &sp.label);
-        let _ = write!(out, ",\"worker\":{}}}", sp.worker);
+        let close = sp.close_ns.map_or("null".to_string(), |ns| ns.to_string());
+        let _ = write!(
+            out,
+            ",\"worker\":{},\"open_ns\":{},\"close_ns\":{close}}}",
+            sp.worker, sp.open_ns
+        );
     }
     out.push_str("],\"workers\":[");
     for (i, w) in s.workers.iter().enumerate() {
@@ -682,7 +713,7 @@ pub fn render_bundle(s: &Snapshot) -> String {
         out.push_str("]}");
     }
     out.push_str("],\"perfetto\":");
-    out.push_str(&perfetto_timeline(s).to_json());
+    out.push_str(&timeline(s).to_json());
     out.push('}');
     out
 }
@@ -741,70 +772,127 @@ fn write_event(out: &mut String, e: &Event) {
     out.push('}');
 }
 
-/// Build the embedded Perfetto timeline: pid 1 = the flight recorder, one
-/// track per worker. Span opens/closes become `B`/`E` pairs; everything
-/// else an instant. Ring eviction can orphan closes (skipped at depth 0)
-/// or opens (closed at the final timestamp) — the B/E invariants hold
-/// regardless, as the workspace proptests verify.
-fn perfetto_timeline(s: &Snapshot) -> TraceBuilder {
-    let mut tb = TraceBuilder::new();
-    tb.process_name(1, "flight-recorder");
+/// The run's Perfetto timeline — the one place spans become trace events.
+///
+/// One process per causal trace, named by its root span's label, and one
+/// track per recorder worker. Every span-table entry is one `B`/`E` pair
+/// at its recorded open and close time; a span still open at snapshot
+/// time closes at the snapshot's last timestamp. Ring events other than
+/// span open/close are thread-scoped instants on their span's track
+/// (events outside the span table go to a trailing `unattributed`
+/// process). Whatever the input, each track's `B`/`E` pairs balance and
+/// its timestamps never decrease in emission order: entries nest by a
+/// per-track stack, and a time that would run backwards is clamped.
+pub fn timeline(s: &Snapshot) -> TraceBuilder {
+    enum Mark<'a> {
+        Begin(&'a SpanInfo),
+        End,
+        Instant(String),
+    }
+    let mut pids: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut names: Vec<String> = Vec::new();
+    for sp in &s.spans {
+        let pid = *pids.entry(sp.ctx.trace_id).or_insert_with(|| {
+            names.push(format!("trace {:016x}", sp.ctx.trace_id));
+            names.len() as u32
+        });
+        if sp.ctx.is_root() {
+            names[pid as usize - 1].clone_from(&sp.label);
+        }
+    }
+    let unattributed = names.len() as u32 + 1;
+    let span_times = s
+        .spans
+        .iter()
+        .flat_map(|sp| [sp.open_ns, sp.close_ns.unwrap_or(0)]);
+    let event_times = s
+        .workers
+        .iter()
+        .flat_map(|w| w.events.iter().map(|e| e.wall_ns));
+    let end = span_times.chain(event_times).max().unwrap_or(0);
+
+    // Per track: its spans in table (open) order, its instants in ring order.
+    type Track<'a> = (Vec<&'a SpanInfo>, Vec<(u64, Mark<'a>)>);
+    let mut tracks: BTreeMap<(u32, u32), Track> = BTreeMap::new();
+    for sp in &s.spans {
+        let track = (pids[&sp.ctx.trace_id], sp.worker as u32);
+        tracks.entry(track).or_default().0.push(sp);
+    }
     for w in &s.workers {
-        let tid = w.worker as u32;
-        tb.thread_name(1, tid, &format!("worker {}", w.worker));
-        let mut depth = 0usize;
-        let mut last_ts = 0u64;
         for e in &w.events {
-            let ts = e.wall_ns.max(last_ts);
-            last_ts = ts;
-            match &e.kind {
-                EventKind::SpanOpen { label } => {
-                    let mut args: Vec<(String, ArgValue)> = Vec::new();
-                    if let Some(sp) = e.span {
-                        args.push((
-                            "span".to_string(),
-                            ArgValue::Str(format!("{:016x}", sp.span_id)),
-                        ));
-                        args.push((
-                            "parent".to_string(),
-                            ArgValue::Str(format!("{:016x}", sp.parent_id)),
-                        ));
-                    }
-                    tb.begin(1, tid, ts, label, args);
-                    depth += 1;
+            let name = match &e.kind {
+                EventKind::SpanOpen { .. } | EventKind::SpanClose => continue,
+                EventKind::CacheHit { domain } => format!("cache-hit {domain}"),
+                EventKind::CacheMiss { domain } => format!("cache-miss {domain}"),
+                EventKind::FaultFired { seam, site } => format!("fault {seam}:{site}"),
+                EventKind::TaskRetry { task, attempt } => format!("retry {task} #{attempt}"),
+                EventKind::DeadlineArm { scope, deadline_ms } => {
+                    format!("deadline-arm {scope} {deadline_ms}ms")
                 }
-                EventKind::SpanClose => {
-                    if depth > 0 {
-                        tb.end(1, tid, ts);
-                        depth -= 1;
-                    }
-                }
-                other => {
-                    let name = match other {
-                        EventKind::CacheHit { domain } => format!("cache-hit {domain}"),
-                        EventKind::CacheMiss { domain } => format!("cache-miss {domain}"),
-                        EventKind::FaultFired { seam, site } => format!("fault {seam}:{site}"),
-                        EventKind::TaskRetry { task, attempt } => {
-                            format!("retry {task} #{attempt}")
-                        }
-                        EventKind::DeadlineArm { scope, deadline_ms } => {
-                            format!("deadline-arm {scope} {deadline_ms}ms")
-                        }
-                        EventKind::DeadlineExpired { scope } => {
-                            format!("deadline-expired {scope}")
-                        }
-                        EventKind::VmCensus { .. } => "vm-census".to_string(),
-                        EventKind::BudgetExhausted { detail } => format!("budget {detail}"),
-                        EventKind::Estimate { site } => format!("estimate {site}"),
-                        EventKind::SpanOpen { .. } | EventKind::SpanClose => unreachable!(),
-                    };
-                    tb.instant(1, tid, ts, &name, Vec::new());
-                }
+                EventKind::DeadlineExpired { scope } => format!("deadline-expired {scope}"),
+                EventKind::VmCensus { .. } => "vm-census".to_string(),
+                EventKind::BudgetExhausted { detail } => format!("budget {detail}"),
+                EventKind::Estimate { site } => format!("estimate {site}"),
+            };
+            let pid = e
+                .span
+                .and_then(|sp| pids.get(&sp.trace_id).copied())
+                .unwrap_or(unattributed);
+            let track = tracks.entry((pid, w.worker as u32)).or_default();
+            track.1.push((e.wall_ns, Mark::Instant(name)));
+        }
+    }
+
+    let mut tb = TraceBuilder::new();
+    for (pid, name) in (1..).zip(&names) {
+        tb.process_name(pid, name);
+    }
+    if tracks.keys().any(|&(pid, _)| pid == unattributed) {
+        tb.process_name(unattributed, "unattributed");
+    }
+    for &(pid, tid) in tracks.keys() {
+        tb.thread_name(pid, tid, &format!("worker {tid}"));
+    }
+    for ((pid, tid), (spans, instants)) in tracks {
+        // A stack of close times nests the spans: an open span ends once
+        // a later span on the track opens at or after its close.
+        let mut marks = Vec::with_capacity(2 * spans.len() + instants.len());
+        let mut open: Vec<u64> = Vec::new();
+        for sp in spans {
+            while let Some(close) = open.pop_if(|close| *close <= sp.open_ns) {
+                marks.push((close, Mark::End));
+            }
+            marks.push((sp.open_ns, Mark::Begin(sp)));
+            open.push(sp.close_ns.unwrap_or(end));
+        }
+        marks.extend(open.into_iter().rev().map(|close| (close, Mark::End)));
+        // Clamp the span marks and the instants each to non-decreasing
+        // times, then merge them with a stable sort on time, which keeps
+        // each sequence's own order.
+        let n = marks.len();
+        marks.extend(instants);
+        let (span_marks, instant_marks) = marks.split_at_mut(n);
+        for seq in [span_marks, instant_marks] {
+            let mut last = 0;
+            for (ts, _) in seq {
+                last = last.max(*ts);
+                *ts = last;
             }
         }
-        while depth > 0 {
-            tb.end(1, tid, last_ts);
-            depth -= 1;
+        marks.sort_by_key(|(ts, _)| *ts);
+        for (ts, mark) in marks {
+            match mark {
+                Mark::Begin(sp) => {
+                    let id = |v: u64| ArgValue::from(format!("{v:016x}"));
+                    let args = vec![
+                        ("span".into(), id(sp.ctx.span_id)),
+                        ("parent".into(), id(sp.ctx.parent_id)),
+                    ];
+                    tb.begin(pid, tid, ts, &sp.label, args);
+                }
+                Mark::End => tb.end(pid, tid, ts),
+                Mark::Instant(name) => tb.instant(pid, tid, ts, &name, Vec::new()),
+            }
         }
     }
     tb
@@ -845,7 +933,7 @@ mod tests {
         set_enabled(true);
         reset();
         let root = SpanCtx::root("test", 1);
-        record_span_open(root, "flow");
+        let index = record_span_open(root, "flow");
         record_cache("interp/profile", false);
         record_cache("interp/profile", true);
         record_fault("estimate", "fpga-hls/Stratix 10");
@@ -854,7 +942,7 @@ mod tests {
         record_vm_census(100, 60, 3);
         record_budget_exhausted("vm cycle budget 1000");
         record_estimate("gpu-estimate/GeForce RTX 2080 Ti");
-        record_span_close(root);
+        record_span_close(root, index);
         set_enabled(false);
 
         let snap = snapshot();
@@ -894,6 +982,24 @@ mod tests {
         );
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].label, "flow");
+        let close = snap.spans[0].close_ns.expect("the close stamped the entry");
+        assert!(snap.spans[0].open_ns <= close);
+        assert_eq!(close, events[9].wall_ns);
+    }
+
+    #[test]
+    fn a_close_after_reset_leaves_the_new_entry_open() {
+        let _g = guarded();
+        set_enabled(true);
+        reset();
+        let stale = SpanCtx::root("stale", 1);
+        let index = record_span_open(stale, "stale");
+        reset();
+        let fresh = SpanCtx::root("fresh", 1);
+        assert_eq!(record_span_open(fresh, "fresh"), index);
+        record_span_close(stale, index);
+        set_enabled(false);
+        assert_eq!(snapshot().spans[0].close_ns, None);
     }
 
     #[test]
@@ -929,12 +1035,12 @@ mod tests {
         let job_a = SpanCtx::root("psa-serve/tenant-a/job-1", 7);
         let job_b = SpanCtx::root("psa-serve/tenant-b/job-2", 7);
         assert_ne!(job_a.trace_id, job_b.trace_id);
-        record_span_open(job_a, "job-a");
+        let a = record_span_open(job_a, "job-a");
         record_cache("interp/profile", false);
-        record_span_close(job_a);
-        record_span_open(job_b, "job-b");
+        record_span_close(job_a, a);
+        let b = record_span_open(job_b, "job-b");
         record_cache("interp/profile", true);
-        record_span_close(job_b);
+        record_span_close(job_b, b);
         mark_trigger("panic:task `x`: boom");
         set_enabled(false);
 

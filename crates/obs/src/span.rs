@@ -103,17 +103,26 @@ pub fn current() -> Option<SpanCtx> {
 #[must_use = "the span closes when the guard drops"]
 pub struct SpanGuard {
     armed: bool,
+    /// The span's span-table entry, whose close time the drop stamps.
+    index: Option<usize>,
 }
+
+const INERT: SpanGuard = SpanGuard {
+    armed: false,
+    index: None,
+};
 
 /// Enter `ctx` as the ambient span of this thread, journaling a span-open
 /// event. Inert (one atomic load) while the recorder is disabled.
 pub fn enter(ctx: SpanCtx, label: &str) -> SpanGuard {
     if !crate::recorder::enabled() {
-        return SpanGuard { armed: false };
+        return INERT;
     }
     STACK.with(|s| s.borrow_mut().push(Frame { ctx, children: 0 }));
-    crate::recorder::record_span_open(ctx, label);
-    SpanGuard { armed: true }
+    SpanGuard {
+        armed: true,
+        index: crate::recorder::record_span_open(ctx, label),
+    }
 }
 
 /// Enter a child of the current ambient span, deriving its id from the
@@ -122,7 +131,7 @@ pub fn enter(ctx: SpanCtx, label: &str) -> SpanGuard {
 /// a no-op (work outside any flow stays unattributed).
 pub fn enter_child(label: impl FnOnce() -> String) -> SpanGuard {
     if !crate::recorder::enabled() {
-        return SpanGuard { armed: false };
+        return INERT;
     }
     let parent = STACK.with(|s| {
         s.borrow_mut().last_mut().map(|f| {
@@ -141,10 +150,12 @@ pub fn enter_child(label: impl FnOnce() -> String) -> SpanGuard {
                     children: 0,
                 })
             });
-            crate::recorder::record_span_open(child, &label);
-            SpanGuard { armed: true }
+            SpanGuard {
+                armed: true,
+                index: crate::recorder::record_span_open(child, &label),
+            }
         }
-        None => SpanGuard { armed: false },
+        None => INERT,
     }
 }
 
@@ -154,7 +165,7 @@ impl Drop for SpanGuard {
             return;
         }
         if let Some(frame) = STACK.with(|s| s.borrow_mut().pop()) {
-            crate::recorder::record_span_close(frame.ctx);
+            crate::recorder::record_span_close(frame.ctx, self.index);
         }
     }
 }

@@ -47,6 +47,10 @@ fn recorded_run(mode: FlowMode) -> Snapshot {
             e.wall_ns = 0;
         }
     }
+    for s in &mut snapshot.spans {
+        s.open_ns = 0;
+        s.close_ns = s.close_ns.map(|_| 0);
+    }
     snapshot
 }
 
